@@ -11,7 +11,6 @@ from.  On top of those sit the density and closure scans for size-4 sets.
 from .cache import (
     CacheIntegrityError,
     EnumerationRecord,
-    PdsCacheEntry,
     build_pds_cache,
     load_pds,
     read_enumeration,
@@ -19,7 +18,7 @@ from .cache import (
 )
 from .dfs import (
     DfsBudget,
-    DfsOutcome,
+    DfsRun,
     IndependentReport,
     all_in_singer_orbit,
     enumerate_all_pds,
@@ -43,7 +42,6 @@ from .orbit import (
     CheckReport,
     PdsSource,
     brute_force_at_q,
-    coset_path,
     fast_check,
     fast_extends_at_q,
     rigor_class,
@@ -55,7 +53,6 @@ from .pipeline import (
     TripleVerdict,
     completeness_check,
     dilation_family_check,
-    enumerate_size4,
     sub_pattern_check,
     superset_closure_check,
     triple_verify,
@@ -73,7 +70,6 @@ from .sidon import (
 from .singer import (
     InvalidCoefficientsError,
     RecurrenceCoeffs,
-    SingerPds,
     affine_equivalent,
     find_primitive_coeffs,
     singer_pds_recurrence,

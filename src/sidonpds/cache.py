@@ -33,17 +33,6 @@ class CacheIntegrityError(Exception):
 
 
 @dataclass(frozen=True)
-class PdsCacheEntry:
-    q: int
-    v: int
-    elems: tuple[int, ...]
-    method: str
-
-    def as_pds(self) -> Pds:
-        return Pds(self.v, self.elems)
-
-
-@dataclass(frozen=True)
 class EnumerationRecord:
     """Classification of one enumerated Sidon set up to the scan bound q_max."""
 
@@ -83,18 +72,18 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _entry_bytes(entry: PdsCacheEntry) -> str:
-    obj = {"q": entry.q, "v": entry.v, "method": entry.method, "B": list(entry.elems)}
+def _entry_bytes(pds: Pds) -> str:
+    obj = {"q": pds.q, "v": pds.v, "method": pds.method, "B": list(pds.elems)}
     return json.dumps(obj) + "\n"
 
 
-def write_pds(entry: PdsCacheEntry, data_root=None) -> Path:
-    path = pds_path(entry.q, data_root)
-    _atomic_write(path, _entry_bytes(entry))
+def write_pds(pds: Pds, data_root=None) -> Path:
+    path = pds_path(pds.q, data_root)
+    _atomic_write(path, _entry_bytes(pds))
     return path
 
 
-def load_pds(q: int, data_root=None) -> PdsCacheEntry | None:
+def load_pds(q: int, data_root=None) -> Pds | None:
     """Load and re-verify the cached entry for q; None if absent.
 
     Corrupt or inconsistent files raise CacheIntegrityError; a missing file
@@ -108,7 +97,7 @@ def load_pds(q: int, data_root=None) -> PdsCacheEntry | None:
     except json.JSONDecodeError as exc:
         raise CacheIntegrityError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        entry = PdsCacheEntry(
+        entry = Pds(
             q=int(data["q"]),
             v=int(data["v"]),
             elems=tuple(int(x) for x in data["B"]),
@@ -144,11 +133,11 @@ def build_pds_cache(q_max: int, data_root=None, *, progress=None) -> int:
                 continue
         except CacheIntegrityError:
             pass  # rebuild over the bad file
-        spds = singer_pds_trace(q)
-        write_pds(PdsCacheEntry(spds.q, spds.v, spds.elems, spds.method), data_root)
+        pds = singer_pds_trace(q)
+        write_pds(pds, data_root)
         built += 1
         if progress is not None:
-            progress(q, spds.v)
+            progress(q, pds.v)
     return built
 
 

@@ -3,8 +3,8 @@
 Machine-readable output (tables, verdict lines, JSONL files) goes to stdout
 or the data root; progress and timing chatter goes to stderr so repeated
 runs with the same flags produce byte-identical stdout.  Exit codes: 0 on
-success, 1 when --check finds a mismatch against the reference counts, 2 on
-usage errors.
+success, 1 when --check finds a mismatch against the reference counts or the
+PDS cache is missing or corrupt, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from .singer import find_primitive_coeffs, singer_pds_recurrence, singer_pds_tra
 
 def _eprint(*args):
     print(*args, file=sys.stderr)
-
-
-class _Exit(Exception):
-    def __init__(self, code: int):
-        self.code = code
 
 
 def _usage_error(msg: str):
@@ -53,14 +48,6 @@ def _source(args) -> orbit.PdsSource:
     return orbit.PdsSource(args.data_root)
 
 
-def _guard_cache(fn):
-    try:
-        return fn()
-    except pipeline.MissingCacheError as exc:
-        _eprint(f"error: {exc}")
-        raise _Exit(1)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -82,7 +69,7 @@ def _cmd_build_cache(args) -> int:
 def _cmd_singer(args) -> int:
     q = args.q
     if is_prime_power(q) is None:
-        raise SystemExit(f"error: {q} is not a prime power")
+        _usage_error(f"{q} is not a prime power")
     if args.method in ("trace", "both"):
         spds = singer_pds_trace(q)
         print(f"q={q} v={spds.v} method={spds.method} B={list(spds.elems)}")
@@ -105,7 +92,8 @@ def _cmd_singer(args) -> int:
 def _cmd_check(args) -> int:
     s = _require_sidon(_parse_set(args.set))
     src = _source(args)
-    report = _guard_cache(lambda: _checked_fast_check(s, args.q_max, src))
+    pipeline.require_cache(src, args.q_max)
+    report = orbit.fast_check(s, args.q_max, src)
     if report.extends:
         w = report.witness
         print(
@@ -122,19 +110,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _checked_fast_check(s, q_max, src):
-    pipeline.require_cache(src, q_max)
-    return orbit.fast_check(s, q_max, src)
-
-
 def _cmd_triple_verify(args) -> int:
     src = _source(args)
     budget = dfs.DfsBudget(time_limit_s=args.budget_seconds)
     progress = _eprint if args.verbose else None
-    verdicts = _guard_cache(
-        lambda: pipeline.triple_verify(
-            args.q_max_fast, args.q_lo, args.q_hi, budget, source=src, progress=progress
-        )
+    verdicts = pipeline.triple_verify(
+        args.q_max_fast, args.q_lo, args.q_hi, budget, source=src, progress=progress
     )
     failures = []
     for v in verdicts:
@@ -244,7 +225,7 @@ def _check_density_row(row: pipeline.DensityRow, records, failures):
 
 def _cmd_enumerate(args) -> int:
     src = _source(args)
-    row, records = _guard_cache(lambda: _run_density(args.n_max, args.size, args.q_max, args, src))
+    row, records = _run_density(args.n_max, args.size, args.q_max, args, src)
     if args.size == 4:
         print(_DENSITY_HEADER)
     print(_density_row_line(row))
@@ -261,7 +242,7 @@ def _cmd_density_table(args) -> int:
     print(_DENSITY_HEADER)
     failures: list[str] = []
     for n_max in args.n_max:
-        row, records = _guard_cache(lambda: _run_density(n_max, 4, args.q_max, args, src))
+        row, records = _run_density(n_max, 4, args.q_max, args, src)
         print(_density_row_line(row))
         if args.check:
             _check_density_row(row, records, failures)
@@ -273,11 +254,7 @@ def _cmd_density_table(args) -> int:
 def _cmd_closure(args) -> int:
     s = _require_sidon(_parse_set(args.set))
     src = _source(args)
-    report = _guard_cache(
-        lambda: pipeline.superset_closure_check(
-            s, args.size, args.range_max, args.q_max, source=src
-        )
-    )
+    report = pipeline.superset_closure_check(s, args.size, args.range_max, args.q_max, source=src)
     print(
         f"base={list(report.base)} non_extending={report.precondition_ok} "
         f"supersets={report.count} all_non_extending={report.all_non_extending}"
@@ -396,9 +373,7 @@ def main(argv=None) -> int:
         args.jobs = pipeline.default_jobs()
     try:
         return args.fn(args)
-    except _Exit as exc:
-        return exc.code
-    except cache.CacheIntegrityError as exc:
+    except (cache.CacheIntegrityError, pipeline.MissingCacheError) as exc:
         _eprint(f"error: {exc}")
         return 1
     except ValueError as exc:

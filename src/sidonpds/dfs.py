@@ -27,14 +27,12 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .sidon import sidon_distinct_mod, verify_pds
-from .singer import SingerPds, affine_equivalent
+from .sidon import SKIP_COLLISION, SKIP_SIZE, Pds, sidon_distinct_mod, verify_pds
+from .singer import affine_equivalent
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
-SKIP_SIZE = "skip_size"
-SKIP_COLLISION = "skip_collision"
 
 _TIME_CHECK_QUANTUM = 2048
 _ENUMERATION_V_LIMIT = 73
@@ -51,11 +49,15 @@ class DfsBudget:
 
 
 @dataclass(frozen=True)
-class DfsOutcome:
-    status: str  # found / exhausted / timeout
-    pds: tuple[int, ...] | None
+class DfsRun:
+    """One seeded search at order q, v = q^2+q+1; pds is the witness when found."""
+
+    q: int
+    v: int
+    status: str  # found / exhausted / timeout / skip_size / skip_collision
     elapsed: float
     nodes: int
+    pds: tuple[int, ...] | None
 
 
 class _Stop(Exception):
@@ -155,7 +157,7 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     return solutions, status, state["nodes"]
 
 
-def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> DfsOutcome:
+def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> DfsRun:
     """Search for a perfect difference set of size n in Z_v containing s mod v.
 
     Returns found (with a verified witness), exhausted (a completed search:
@@ -177,8 +179,8 @@ def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> Df
         sol = solutions[0]
         if not set(x % v for x in s) <= set(sol):
             raise AssertionError("found set does not contain the seed")
-        return DfsOutcome(FOUND, sol, elapsed, nodes)
-    return DfsOutcome(status, None, elapsed, nodes)
+        return DfsRun(n - 1, v, FOUND, elapsed, nodes, sol)
+    return DfsRun(n - 1, v, status, elapsed, nodes, None)
 
 
 def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, ...]], int]:
@@ -202,21 +204,11 @@ def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, .
     return solutions, count0 * v // n
 
 
-def all_in_singer_orbit(v: int, pds_list, singer: SingerPds) -> bool:
+def all_in_singer_orbit(v: int, pds_list, singer: Pds) -> bool:
     """True iff every listed PDS is an affine image of the given Singer PDS."""
     if singer.v != v:
         raise ValueError(f"Singer PDS is for v={singer.v}, not {v}")
     return all(affine_equivalent(v, b, singer.elems) is not None for b in pds_list)
-
-
-@dataclass(frozen=True)
-class DfsRun:
-    q: int
-    v: int
-    status: str  # found / exhausted / timeout / skip_size / skip_collision
-    elapsed: float
-    nodes: int
-    pds: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -258,12 +250,12 @@ def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
             if not sidon_distinct_mod(s, v):
                 runs.append(DfsRun(q, v, SKIP_COLLISION, 0.0, 0, None))
                 continue
-            out = find_pds_extension(s, v, n, budget)
-            runs.append(DfsRun(q, v, out.status, out.elapsed, out.nodes, out.pds))
+            run = find_pds_extension(s, v, n, budget)
+            runs.append(run)
             if progress is not None:
-                progress(s, q, v, out)
-            if out.status == FOUND:
-                witness = out.pds
+                progress(s, q, v, run)
+            if run.status == FOUND:
+                witness = run.pds
                 break
         extends = witness is not None
         applicable = [r for r in runs if r.status in (FOUND, EXHAUSTED, TIMEOUT)]

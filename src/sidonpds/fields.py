@@ -237,16 +237,6 @@ def field_add(ctx: FieldCtx, a, b) -> tuple[int, ...]:
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
-def field_neg(ctx: FieldCtx, a) -> tuple[int, ...]:
-    p = ctx.p
-    return tuple((-x) % p for x in a)
-
-
-def field_sub(ctx: FieldCtx, a, b) -> tuple[int, ...]:
-    p = ctx.p
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
 def field_mul(ctx: FieldCtx, a, b) -> tuple[int, ...]:
     return tuple(_poly_mulmod(list(a), list(b), list(ctx.modulus), ctx.p))
 

@@ -26,13 +26,10 @@ from math import gcd
 
 from . import cache
 from .fields import is_prime_power
-from .sidon import Pds, is_sidon, sidon_distinct_mod
+from .sidon import SKIP_COLLISION, SKIP_SIZE, Pds, is_sidon, sidon_distinct_mod
 
 EXTENDS = "extends"
 NO_IMAGE = "no_image"
-SKIP_COLLISION = "skip_collision"
-SKIP_NO_CACHE = "skip_no_cache"
-SKIP_TOO_BIG = "skip_too_big"
 
 # Orders with classically proven uniqueness of the cyclic plane, and orders
 # with published explicit uniqueness checks; everything else in range relies
@@ -89,11 +86,9 @@ class PdsSource:
         hit = self._memo.get(q)
         if hit is not None:
             return hit
-        entry = cache.load_pds(q, self.data_root)
-        if entry is None:
-            return None
-        pds = entry.as_pds()
-        self._memo[q] = pds
+        pds = cache.load_pds(q, self.data_root)
+        if pds is not None:
+            self._memo[q] = pds
         return pds
 
 
@@ -133,7 +128,7 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
     # size first: a set larger than q+1 always also collides mod v, and the
     # size reason is the one that explains why
     if n > q + 1:
-        return CheckOutcome(SKIP_TOO_BIG, reason=f"|S|={n} > q+1={q + 1}")
+        return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
     if not sidon_distinct_mod(s, v):
         return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
     members = _member_set(pds.elems)
@@ -281,7 +276,7 @@ def fast_check(s, q_max: int, source=None, *, data_root=None, verbose=False, log
             if emit:
                 emit(f" q={q}, v={v}: EXTENDS")
             return CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
-        if outcome.kind in (SKIP_COLLISION, SKIP_TOO_BIG):
+        if outcome.kind in (SKIP_COLLISION, SKIP_SIZE):
             skipped.append((q, outcome.reason or outcome.kind))
             continue
         if emit:

@@ -180,10 +180,6 @@ def enumerate_sidon(n_max: int, size: int, q_max: int, *, source=None, data_root
     return row, records
 
 
-def enumerate_size4(n_max: int, q_max: int, **kwargs) -> tuple[DensityRow, list[EnumerationRecord]]:
-    return enumerate_sidon(n_max, 4, q_max, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # The dilation family and completeness of the density table.
 
@@ -271,19 +267,12 @@ def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source=None,
 
 
 @dataclass(frozen=True)
-class SupersetVerdict:
-    elems: tuple[int, ...]
-    extends: bool
-    q_witness: int | None
-
-
-@dataclass(frozen=True)
 class ClosureReport:
     base: tuple[int, ...]
     target_size: int
     range_max: int
     precondition_ok: bool  # the base itself is non-extending in the scanned range
-    supersets: tuple[SupersetVerdict, ...]
+    supersets: tuple[EnumerationRecord, ...]
     violations: tuple[tuple[int, ...], ...]
 
     @property
@@ -320,7 +309,7 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
         if max(sup) > range_max or not is_sidon(sup):
             continue
         extends, q_witness = classify(sup, q_max, src)
-        verdicts.append(SupersetVerdict(sup, extends, q_witness))
+        verdicts.append(EnumerationRecord(sup, extends, q_witness, q_max))
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
     return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
 
@@ -389,7 +378,7 @@ class TripleVerdict:
 
 def _exhaustive_extends(s, q: int, v: int, all_pds) -> bool:
     for elems in all_pds:
-        out = orbit.fast_extends_at_q(s, q, Pds(v, elems))
+        out = orbit.fast_extends_at_q(s, q, Pds(q, v, elems, "enumeration"))
         if out.kind == orbit.EXTENDS:
             return True
     return False

@@ -13,12 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Why a set cannot embed at an order, shared by the fast scan and the DFS.
+SKIP_SIZE = "skip_size"
+SKIP_COLLISION = "skip_collision"
+
+
 @dataclass(frozen=True)
 class Pds:
-    """A perfect difference set: modulus v plus the sorted residue tuple."""
+    """A perfect difference set of size q+1 in Z_v, v = q^2+q+1, and how it was made.
 
+    elems is the sorted residue tuple; method names the construction
+    (trace-zero, recurrence, or enumeration) and is what the cache file
+    records.
+    """
+
+    q: int
     v: int
     elems: tuple[int, ...]
+    method: str
 
 
 def is_sidon(elems) -> bool:

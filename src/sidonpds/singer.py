@@ -32,7 +32,7 @@ from .fields import (
     one,
     subfield_trace_rows,
 )
-from .sidon import verify_pds
+from .sidon import Pds, verify_pds
 
 METHOD_TRACE = "trace_zero"
 METHOD_RECURRENCE = "cubic_recurrence"
@@ -40,16 +40,6 @@ METHOD_RECURRENCE = "cubic_recurrence"
 
 class InvalidCoefficientsError(ValueError):
     """Raised when recurrence coefficients do not have a primitive characteristic cubic."""
-
-
-@dataclass(frozen=True)
-class SingerPds:
-    """A Singer perfect difference set of size q+1 in Z_v, v = q^2+q+1."""
-
-    q: int
-    v: int
-    elems: tuple[int, ...]
-    method: str
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class RecurrenceCoeffs:
     a3: int
 
 
-def singer_pds_trace(q: int) -> SingerPds:
+def singer_pds_trace(q: int) -> Pds:
     """Trace-zero Singer construction: residues i in [0, v) with Tr(g^i) = 0."""
     pp = is_prime_power(q)
     if pp is None:
@@ -77,7 +67,7 @@ def singer_pds_trace(q: int) -> SingerPds:
     elems = tuple(_trace_zero_indices(ctx, g, pp.m, v))
     if len(elems) != q + 1 or not verify_pds(elems, v):
         raise ArithmeticError(f"trace-zero set for q={q} is not a perfect difference set")
-    return SingerPds(q, v, elems, METHOD_TRACE)
+    return Pds(q, v, elems, METHOD_TRACE)
 
 
 def _trace_zero_indices(ctx, g, sub_degree: int, count: int) -> list[int]:
@@ -197,23 +187,13 @@ def _char_poly_is_primitive(q: int, a1: int, a2: int, a3: int) -> bool:
     return all(powmod(group // r) != [1, 0, 0] for r in sorted(set(factorize(group))))
 
 
-def find_primitive_coeffs(q: int, *, rng=None, max_trials: int = 100_000) -> RecurrenceCoeffs:
+def find_primitive_coeffs(q: int) -> RecurrenceCoeffs:
     """First primitive coefficient triple in ascending (a1, a2, a3) order.
 
-    Primitive cubics exist over every GF(q), so the deterministic scan always
-    succeeds.  Passing an rng samples random triples instead, mirroring a
-    randomized sanity-check style; max_trials only bounds that mode.
+    Primitive cubics exist over every GF(q), so the scan always succeeds.
     """
     if is_prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
-    if rng is not None:
-        for _ in range(max_trials):
-            a1 = rng.randrange(q)
-            a2 = rng.randrange(q)
-            a3 = rng.randrange(1, q)
-            if _char_poly_is_primitive(q, a1, a2, a3):
-                return RecurrenceCoeffs(q, a1, a2, a3)
-        raise InvalidCoefficientsError(f"no primitive triple found in {max_trials} samples")
     for a1 in range(q):
         for a2 in range(q):
             for a3 in range(1, q):  # a3 = 0 would make t a root
@@ -222,7 +202,7 @@ def find_primitive_coeffs(q: int, *, rng=None, max_trials: int = 100_000) -> Rec
     raise InvalidCoefficientsError(f"no primitive cubic over GF({q})")
 
 
-def singer_pds_recurrence(q: int, coeffs: RecurrenceCoeffs) -> SingerPds:
+def singer_pds_recurrence(q: int, coeffs: RecurrenceCoeffs) -> Pds:
     """Zero positions of the recurrence x_k = a1 x_{k-1} + a2 x_{k-2} + a3 x_{k-3}.
 
     Seeded with (x_0, x_1, x_2) = (0, 0, 1), iterated over the full period
@@ -254,7 +234,7 @@ def singer_pds_recurrence(q: int, coeffs: RecurrenceCoeffs) -> SingerPds:
     elems = tuple(sorted({k % v for k in zeros}))
     if len(elems) != q + 1 or not verify_pds(elems, v):
         raise InvalidCoefficientsError("zero positions do not reduce to a perfect difference set")
-    return SingerPds(q, v, elems, METHOD_RECURRENCE)
+    return Pds(q, v, elems, METHOD_RECURRENCE)
 
 
 def affine_equivalent(v: int, b1, b2) -> tuple[int, int] | None:

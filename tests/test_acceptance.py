@@ -52,8 +52,8 @@ def test_criterion_01_hall_uniqueness_recheck():
 @pytest.mark.parametrize("n_max", [20, 30, 40, 50])
 def test_criterion_02_density_table(n_max, source):
     jobs = pipeline.default_jobs() if n_max >= 30 else 1
-    row, records = pipeline.enumerate_size4(
-        n_max, 250, source=source, data_root=source.data_root, jobs=jobs
+    row, records = pipeline.enumerate_sidon(
+        n_max, 4, 250, source=source, data_root=source.data_root, jobs=jobs
     )
     assert (row.total, row.extending, row.non_extending) == EXPECTED_DENSITY[n_max]
     assert row.predicted == 4 * (n_max // 11) == row.non_extending

@@ -31,8 +31,10 @@ def test_singer_both_methods_agree(capsys, data_root):
 
 
 def test_singer_rejects_non_prime_power(capsys, data_root):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["--data-root", data_root, "singer", "6"])
+    assert exc.value.code == 2
+    assert "6 is not a prime power" in capsys.readouterr().err
 
 
 def test_check_extending_set(capsys, data_root):
@@ -81,6 +83,42 @@ def test_triple_verify_small_scope_check_mode(capsys, data_root):
     lines = out.splitlines()
     assert sum("non_extending=True" in l for l in lines) == 4
     assert sum("non_extending=False" in l for l in lines) == 2  # the two controls
+
+
+def exit_code(*argv) -> int:
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+USAGE_ERRORS = [
+    ("build-cache", "1"),
+    ("singer", "6"),
+    ("check", "0,1,2,4"),
+    ("independent-check", "--set", "0,1,2"),
+    ("enumerate", "10", "0", "13"),
+    ("closure", "0,1,3,11", "4", "30"),
+]
+
+MISSING_CACHE = [
+    ("check", "0,1,3,11", "--q-max", "13"),
+    ("enumerate", "10", "4", "13"),
+    ("density-table", "10", "--q-max", "13"),
+    ("closure", "0,1,3,11", "5", "15", "--q-max", "13"),
+    ("triple-verify", "--q-max-fast", "13"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, cached, code",
+    [pytest.param(a, True, 2, id="usage:" + a[0]) for a in USAGE_ERRORS]
+    + [pytest.param(a, False, 1, id="no-cache:" + a[0]) for a in MISSING_CACHE],
+)
+def test_exit_codes(capsys, data_root, tmp_path, argv, cached, code):
+    root = data_root if cached else str(tmp_path)
+    assert exit_code("--data-root", root, "--jobs", "1", *argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_cache_names_build_command(tmp_path, capsys):

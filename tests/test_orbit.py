@@ -7,7 +7,7 @@ from sidonpds.orbit import (
     EXTENDS,
     NO_IMAGE,
     SKIP_COLLISION,
-    SKIP_TOO_BIG,
+    SKIP_SIZE,
     MappingSource,
     brute_force_at_q,
     coset_path,
@@ -36,7 +36,7 @@ def test_collision_skip_at_q3(source):
 
 def test_size_skip(source):
     out = fast_extends_at_q((0, 1, 3, 7, 12, 20), 4, source.get(4))
-    assert out.kind == SKIP_TOO_BIG
+    assert out.kind == SKIP_SIZE
 
 
 def test_singleton_always_extends(source):

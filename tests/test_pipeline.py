@@ -10,7 +10,6 @@ from sidonpds.pipeline import (
     completeness_check,
     dilation_family_check,
     enumerate_sidon,
-    enumerate_size4,
     family_dilations,
     family_members,
     iter_sidon_sets,
@@ -45,7 +44,7 @@ def test_iter_sidon_sets_order_and_shape():
 
 
 def test_density_n10_has_no_nonextenders(source):
-    row, records = enumerate_size4(10, 64, source=source)
+    row, records = enumerate_sidon(10, 4, 64, source=source)
     assert row.non_extending == 0
     assert row.predicted == 0
     assert row.total == row.extending
@@ -53,7 +52,7 @@ def test_density_n10_has_no_nonextenders(source):
 
 
 def test_density_n22_matches_family(source):
-    row, records = enumerate_size4(22, 250, source=source)
+    row, records = enumerate_sidon(22, 4, 250, source=source)
     assert row.non_extending == 8
     assert row.predicted == 8
     comp = completeness_check(22, records)
@@ -64,8 +63,8 @@ def test_density_n22_matches_family(source):
 
 def test_density_monotone_in_qmax(source):
     # raising the scan bound can only confirm more witnesses
-    _, rec250 = enumerate_size4(20, 250, source=source)
-    _, rec317 = enumerate_size4(20, 317, source=source)
+    _, rec250 = enumerate_sidon(20, 4, 250, source=source)
+    _, rec317 = enumerate_sidon(20, 4, 317, source=source)
     non250 = {r.elems for r in rec250 if not r.extends}
     non317 = {r.elems for r in rec317 if not r.extends}
     assert non317 <= non250
@@ -186,7 +185,7 @@ def test_require_cache_names_the_build_command():
 
 def test_enumerate_requires_cache():
     with pytest.raises(MissingCacheError):
-        enumerate_size4(10, 13, source=orbit.MappingSource({}))
+        enumerate_sidon(10, 4, 13, source=orbit.MappingSource({}))
 
 
 def test_triple_verify_small_scope(source):
