@@ -223,7 +223,7 @@ class IndependentReport:
 
 
 def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
-                      budget: DfsBudget | None = None, *, progress=None) -> list[IndependentReport]:
+                      budget: DfsBudget | None = None) -> list[IndependentReport]:
     """Seeded DFS over every q in [q_lo, q_hi], prime power or not.
 
     A seed too large for the target size or colliding mod v is recorded as a
@@ -252,8 +252,6 @@ def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
                 continue
             run = find_pds_extension(s, v, n, budget)
             runs.append(run)
-            if progress is not None:
-                progress(s, q, v, run)
             if run.status == FOUND:
                 witness = run.pds
                 break

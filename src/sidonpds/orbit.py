@@ -1,25 +1,27 @@
 """Fast extension check: does some affine image of a Sidon set land in a Singer PDS?
 
 A Sidon set S extends inside Z_v (v = q^2 + q + 1) iff a*S + b is a subset
-of the cached perfect difference set B for some unit a and shift b.  An
-affine map scales the difference signature by a, so fixing one "pivot"
-difference pins a: for a pivot element s_j that is a unit mod v, every
-candidate map is determined by the ordered pair (b0, b1) = (image of 0,
-image of s_j), giving a = (b1 - b0) * s_j^{-1}.  If an image exists, the
-pair it induces appears in the scan over B x B, so a single unit pivot
-already makes the scan complete; the remaining elements are then membership
-tests.  Cost is O(|B|^2 * |S|) per modulus.
+of the cached perfect difference set B for some unit a and shift b.  Shift S
+so that its first element is 0; an image then maps 0 to b0 = b and any other
+"pivot" element s_j to some b1 in B, with a*s_j = b1 - b0 (mod v) and
+b1 != b0 because a is a unit.  With g = gcd(s_j, v) that congruence has a
+solution only when g divides b1 - b0, and its solutions are the g lifts
+a_red + k*(v/g), k = 0..g-1, of a_red = ((b1 - b0)/g) * (s_j/g)^{-1} mod v/g.
+Scanning every pair (b0, b1) of B and keeping the unit lifts therefore meets
+every embedding whatever the pivot, and the remaining elements are
+membership tests.  The scan costs about |B|^2 candidates per modulus for any
+g; it takes the pivot with the smallest g, a unit whenever S has one.
 
-When every normalized element shares a factor g > 1 with v no unit pivot
-exists; images then live inside a single coset of g*Z_v and the scan runs
-in the quotient Z_{v/g} with the g possible unit lifts of each candidate a
-(the coset path).  An exhaustive (a, b) scan is kept as the oracle the fast
-paths are tested against, and as the fallback for the rare shapes neither
-fast path covers.
+When every normalized element shares a factor g > 1 with v, an image lives
+inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
+can rule it out before any scan (the coset path).  An exhaustive (a, b) scan
+is kept as the oracle the tests compare the pivot scan against; the check
+itself never calls it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -115,13 +117,19 @@ def _make_witness(q, v, a, b, s_norm, members) -> AffineWitness:
     return AffineWitness(q, v, a % v, b % v, image)
 
 
+def _require_order(q: int, pds: Pds) -> None:
+    if q != pds.q:
+        raise ValueError(f"q={q} does not match the order q={pds.q} of the PDS passed")
+
+
 def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) -> CheckOutcome:
     """Decide whether some affine image of s lies inside pds.elems in Z_v.
 
-    check_all_pivots re-runs the scan on every unit pivot and asserts the
+    check_all_pivots re-runs the scan on every pivot and asserts the
     verdicts agree; it exists to exercise the single-pivot completeness
     argument in tests and costs a full extra scan per pivot.
     """
+    _require_order(q, pds)
     v = pds.v
     s = tuple(s)
     n = len(s)
@@ -142,88 +150,76 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
         g = gcd(g, x)
     g = gcd(g, v)
     if g > 1:
-        return coset_path(s, s_norm, q, v, pds, g)
-    pivots = [j for j in range(1, n) if gcd(s_norm[j], v) == 1]
-    if not pivots:
-        # jointly coprime to v but no single unit element; rare, oracle decides
-        return brute_force_at_q(s, q, pds)
-    first = _pivot_scan(q, v, s_norm, pds.elems, members, pivots[0])
+        first = coset_path(s, s_norm, q, v, pds, g)
+    else:
+        first = _pivot_scan(q, v, s_norm, pds.elems, members, _best_pivot(s_norm, v))
     if check_all_pivots:
-        for j in pivots[1:]:
+        for j in range(1, n):
             other = _pivot_scan(q, v, s_norm, pds.elems, members, j)
             if other.kind != first.kind:
                 raise AssertionError(
-                    f"pivot disagreement at q={q}: pivot {pivots[0]} says {first.kind}, "
+                    f"pivot disagreement at q={q}: the check says {first.kind}, "
                     f"pivot {j} says {other.kind}"
                 )
     return first
 
 
+def _best_pivot(s_norm, v: int) -> int:
+    """Index of the first element with the smallest gcd with v: a unit if there is one."""
+    return min(range(1, len(s_norm)), key=lambda j: gcd(s_norm[j], v))
+
+
 def _pivot_scan(q, v, s_norm, elems, members, j_pivot) -> CheckOutcome:
-    sp_inv = pow(s_norm[j_pivot], -1, v)
-    others = tuple(x for i, x in enumerate(s_norm) if i != 0 and i != j_pivot)
+    """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1 over pairs (b0, b1) of B.
+
+    Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
+    when g = gcd(s_j, v) divides b1 - b0, and then exactly for the g lifts of
+    the reduced solution mod v/g.  Each pair's candidates are filtered on one
+    further element inside the comprehension, so only the few survivors pay
+    for the unit test and the remaining elements.  The g = 1 branch (one
+    candidate per pair) is kept separate because it carries nearly all calls.
+    """
+    sp = s_norm[j_pivot]
+    g = gcd(sp, v)
+    step = v // g
+    inv = pow(sp // g, -1, step)
+    others = [x for i, x in enumerate(s_norm) if i and i != j_pivot]
+    # with no further element, filter on 0 itself: its image b0 is in B
+    x1 = others[0] if others else 0
+    rest = others[1:]
     for b0 in elems:
-        for b1 in elems:
-            if b1 == b0:
-                continue
-            a = ((b1 - b0) * sp_inv) % v
-            if gcd(a, v) != 1:
-                continue
-            for x in others:
-                if (a * x + b0) % v not in members:
-                    break
-            else:
+        if g == 1:
+            cands = [a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members]
+        else:
+            cands = [
+                a
+                for b1 in elems
+                if not (d := b1 - b0) % g
+                for a in range(d // g * inv % step, v, step)
+                if (a * x1 + b0) % v in members
+            ]
+        for a in cands:
+            if gcd(a, v) == 1 and all((a * x + b0) % v in members for x in rest):
                 return CheckOutcome(EXTENDS, witness=_make_witness(q, v, a, b0, s_norm, members))
     return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
 
 
 def coset_path(s, s_norm, q: int, v: int, pds: Pds, g: int) -> CheckOutcome:
-    """Pivot scan in the quotient Z_{v/g} when all of s_norm shares the factor g with v.
+    """Pivot scan for an s_norm whose elements all share the factor g with v.
 
-    Any image a*S + b stays inside the coset b + g*Z_v, so only cosets where
-    the PDS has at least |S| elements can host one; candidate maps come from
-    pairs within one coset, reduced by g, and each reduced a is lifted over
-    the g possibilities a + k*(v/g), keeping unit lifts only.
+    Any image a*S + b stays inside the coset b + g*Z_v, so only a coset where
+    the PDS has at least |S| elements can host one; when no coset has room
+    the answer needs no scan.
     """
-    n = len(s_norm)
-    members = _member_set(pds.elems)
-    cosets: dict[int, list[int]] = {}
-    for b in pds.elems:
-        cosets.setdefault(b % g, []).append(b)
-    eligible = [c for c in sorted(cosets) if len(cosets[c]) >= n]
-    if not eligible:
+    if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
         return CheckOutcome(NO_IMAGE, reason="no eligible coset")
-    v_red = v // g
-    s_red = [x // g for x in s_norm]
-    pivot = next((j for j in range(1, n) if gcd(s_red[j], v_red) == 1), None)
-    if pivot is None:
-        return brute_force_at_q(s, q, pds)
-    inv = pow(s_red[pivot], -1, v_red)
-    for c in eligible:
-        in_coset = cosets[c]
-        for b0 in in_coset:
-            for b1 in in_coset:
-                if b1 == b0:
-                    continue
-                a_red = (((b1 - b0) // g) * inv) % v_red
-                if a_red == 0 or gcd(a_red, v_red) != 1:
-                    continue
-                for k in range(g):
-                    a = (a_red + k * v_red) % v
-                    if a == 0 or gcd(a, v) != 1:
-                        continue
-                    for x in s_norm:
-                        if (a * x + b0) % v not in members:
-                            break
-                    else:
-                        return CheckOutcome(
-                            EXTENDS, witness=_make_witness(q, v, a, b0, s_norm, members)
-                        )
-    return CheckOutcome(NO_IMAGE, reason="no affine image of S in B (coset path)")
+    members = _member_set(pds.elems)
+    return _pivot_scan(q, v, s_norm, pds.elems, members, _best_pivot(s_norm, v))
 
 
 def brute_force_at_q(s, q: int, pds: Pds) -> CheckOutcome:
-    """Exhaustive scan over all units a and shifts b; the oracle for the fast paths."""
+    """Exhaustive scan over all units a and shifts b; the oracle the tests check the scan against."""
+    _require_order(q, pds)
     v = pds.v
     s = tuple(s)
     s0 = s[0]
@@ -243,7 +239,7 @@ def brute_force_at_q(s, q: int, pds: Pds) -> CheckOutcome:
     return CheckOutcome(NO_IMAGE, reason="brute force: no extension")
 
 
-def fast_check(s, q_max: int, source=None, *, data_root=None, verbose=False, log=None) -> CheckReport:
+def fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckReport:
     """Scan prime powers q up to q_max, smallest first, stopping at the first embedding.
 
     Skipped moduli (collisions, missing cache entries, non prime powers,
@@ -259,7 +255,6 @@ def fast_check(s, q_max: int, source=None, *, data_root=None, verbose=False, log
         raise ValueError(f"q_max={q_max} below the smallest usable order {q_lo}")
     if source is None:
         source = PdsSource(data_root)
-    emit = log if log is not None else (print if verbose else None)
     checked: list[tuple[int, int]] = []
     skipped: list[tuple[int, str]] = []
     for q in range(q_lo, q_max + 1):
@@ -273,13 +268,9 @@ def fast_check(s, q_max: int, source=None, *, data_root=None, verbose=False, log
             continue
         outcome = fast_extends_at_q(s, q, pds)
         if outcome.kind == EXTENDS:
-            if emit:
-                emit(f" q={q}, v={v}: EXTENDS")
             return CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
         if outcome.kind in (SKIP_COLLISION, SKIP_SIZE):
             skipped.append((q, outcome.reason or outcome.kind))
             continue
-        if emit:
-            emit(f" q={q}, v={v}: no")
         checked.append((q, v))
     return CheckReport(False, None, tuple(checked), tuple(skipped))

@@ -117,12 +117,62 @@ def test_fast_agrees_with_brute_on_random_quadruples(source):
         s = tuple(sorted(rng.sample(range(41), 4)))
         if is_sidon(s):
             sets.add(s)
-    for s in sorted(sets):
-        for q in (3, 4, 5, 7, 8, 9, 11):
-            pds = source.get(q)
-            fast = fast_extends_at_q(s, q, pds, check_all_pivots=True)
-            brute = brute_force_at_q(s, q, pds)
-            assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS), (s, q)
+    cases = [(s, q) for s in sorted(sets) for q in (3, 4, 5, 7, 8, 9, 11)]
+    # dilations by factors of v = 21, 57, 91, 273: every pivot shares a factor
+    # with v, so check_all_pivots runs the lifted scan on each one
+    cases += [
+        (tuple(k * x for x in s), q)
+        for s in sorted(sets)
+        for k in (3, 7, 13)
+        for q in (4, 7, 9, 16)
+    ]
+    # a size-2 set leaves the scan no element beside the pivot
+    cases += [(s, q) for s in ((0, 5), (0, 3), (0, 7)) for q in (2, 4, 9, 16)]
+    lifted = 0
+    for s, q in cases:
+        pds = source.get(q)
+        fast = fast_extends_at_q(s, q, pds, check_all_pivots=True)
+        brute = brute_force_at_q(s, q, pds)
+        assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS), (s, q)
+        if fast.kind in (EXTENDS, NO_IMAGE) and all(gcd(x - s[0], pds.v) > 1 for x in s[1:]):
+            lifted += 1
+    assert lifted > 100
+
+
+def test_q_must_match_the_pds(source):
+    pds = source.get(5)
+    with pytest.raises(ValueError, match="does not match"):
+        fast_extends_at_q(A, 4, pds)
+    with pytest.raises(ValueError, match="does not match"):
+        brute_force_at_q(A, 4, pds)
+
+
+# (set, q) with no unit pivot at q: jointly coprime to v = 273, 651, 1407 but
+# every element shares a factor with it, plus two sets on the coset path
+NO_UNIT_PIVOT = (
+    ((0, 3, 7, 13), 16),
+    ((0, 3, 7, 31), 25),
+    ((0, 15, 18, 28), 25),
+    ((0, 3, 7, 67), 37),
+    ((0, 3, 14, 30), 37),
+    ((0, 7, 21, 63), 9),
+    ((0, 7, 21, 49), 16),
+)
+
+
+def test_fast_path_never_calls_brute_force(source, monkeypatch):
+    oracle = {(s, q): brute_force_at_q(s, q, source.get(q)).kind for s, q in NO_UNIT_PIVOT}
+    assert set(oracle.values()) == {EXTENDS, NO_IMAGE}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute_force_at_q called from the fast path")
+
+    monkeypatch.setattr("sidonpds.orbit.brute_force_at_q", refuse)
+    for (s, q), expected in oracle.items():
+        pds = source.get(q)
+        assert all(gcd(x, pds.v) > 1 for x in s[1:]), (s, q)
+        out = fast_extends_at_q(s, q, pds)
+        assert out.kind == expected, (s, q)
 
 
 def test_coset_path_matches_brute_force(source):
