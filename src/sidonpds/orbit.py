@@ -12,6 +12,21 @@ every embedding whatever the pivot, and the remaining elements are
 membership tests.  The scan costs about |B|^2 candidates per modulus for any
 g; it takes the pivot with the smallest g, a unit whenever S has one.
 
+The outer loop over b0 runs over one start per multiplier orbit, not over
+all of B.  For q = p^m the characteristic p is a multiplier of the Singer
+set (Hall 1947, *Cyclic projective planes*), and the cached trace-zero sets
+satisfy p*B = B exactly.  When they do, a*S + b0 inside B gives
+(p*a)*S + p*b0 inside B with p*a a unit, and p^{-1} maps back, so whether
+some embedding sends 0 to b0 has the same answer for every b0 in one
+<p>-orbit of B.  p*B = B is checked on each PDS passed, never assumed; a
+PDS that p does not fix, such as an enumerated set or a translate, is
+scanned from every b0.  The starts are the first element, in elems order,
+of each orbit, so they are a subsequence of elems.  The first b0 at which
+the full scan meets an embedding starts its orbit, because the earlier
+members would embed too; the reduced scan reaches it first and returns the
+same witness (a, b).  Over the 83 cached orders up to q = 317 this leaves
+3,443 starts of 11,252 elements.
+
 When every normalized element shares a factor g > 1 with v, an image lives
 inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
 can rule it out before any scan (the coset path).  An exhaustive (a, b) scan
@@ -109,6 +124,30 @@ def _member_set(elems: tuple[int, ...]) -> frozenset[int]:
     return frozenset(elems)
 
 
+@lru_cache(maxsize=512)
+def _scan_starts(pds: Pds) -> tuple[int, ...]:
+    """The first element, in elems order, of each <p>-orbit of B when p*B == B; else elems.
+
+    p is the characteristic of q.  The multiplier is checked on pds itself,
+    never assumed, so a PDS that p does not fix keeps every start.
+    """
+    pp = is_prime_power(pds.q)
+    v = pds.v
+    members = _member_set(pds.elems)
+    if pp is None or any(pp.p * b % v not in members for b in pds.elems):
+        return pds.elems
+    seen: set[int] = set()
+    starts = []
+    for b in pds.elems:
+        if b not in seen:
+            starts.append(b)
+            x = b
+            while x not in seen:
+                seen.add(x)
+                x = pp.p * x % v
+    return tuple(starts)
+
+
 def _make_witness(q, v, a, b, s_norm, members) -> AffineWitness:
     image = tuple(sorted((a * s + b) % v for s in s_norm))
     # soundness: a real embedding of all of S, not a collapsed image
@@ -139,23 +178,23 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
         return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
     if not sidon_distinct_mod(s, v):
         return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
-    members = _member_set(pds.elems)
     if n == 1:
-        b = pds.elems[0]
-        return CheckOutcome(EXTENDS, witness=_make_witness(q, v, 1, b, (0,), members))
+        witness = _make_witness(q, v, 1, pds.elems[0], (0,), _member_set(pds.elems))
+        return CheckOutcome(EXTENDS, witness=witness)
     s0 = s[0]
     s_norm = tuple((x - s0) % v for x in s)
     g = 0
     for x in s_norm:
         g = gcd(g, x)
     g = gcd(g, v)
+    starts = _scan_starts(pds)
     if g > 1:
-        first = coset_path(s, s_norm, q, v, pds, g)
+        first = coset_path(s_norm, pds, g)
     else:
-        first = _pivot_scan(q, v, s_norm, pds.elems, members, _best_pivot(s_norm, v))
+        first = _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), starts)
     if check_all_pivots:
         for j in range(1, n):
-            other = _pivot_scan(q, v, s_norm, pds.elems, members, j)
+            other = _pivot_scan(pds, s_norm, j, starts)
             if other.kind != first.kind:
                 raise AssertionError(
                     f"pivot disagreement at q={q}: the check says {first.kind}, "
@@ -169,8 +208,8 @@ def _best_pivot(s_norm, v: int) -> int:
     return min(range(1, len(s_norm)), key=lambda j: gcd(s_norm[j], v))
 
 
-def _pivot_scan(q, v, s_norm, elems, members, j_pivot) -> CheckOutcome:
-    """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1 over pairs (b0, b1) of B.
+def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts) -> CheckOutcome:
+    """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1, b0 in starts and b1 in B.
 
     Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
     when g = gcd(s_j, v) divides b1 - b0, and then exactly for the g lifts of
@@ -178,7 +217,13 @@ def _pivot_scan(q, v, s_norm, elems, members, j_pivot) -> CheckOutcome:
     further element inside the comprehension, so only the few survivors pay
     for the unit test and the remaining elements.  The g = 1 branch (one
     candidate per pair) is kept separate because it carries nearly all calls.
+
+    starts is _scan_starts(pds) on the check's path (one b0 per multiplier
+    orbit, the same witness as the full scan) and pds.elems for the full
+    scan; b0 runs over it in order while b1 runs over all of B.
     """
+    q, v, elems = pds.q, pds.v, pds.elems
+    members = _member_set(elems)
     sp = s_norm[j_pivot]
     g = gcd(sp, v)
     step = v // g
@@ -187,7 +232,7 @@ def _pivot_scan(q, v, s_norm, elems, members, j_pivot) -> CheckOutcome:
     # with no further element, filter on 0 itself: its image b0 is in B
     x1 = others[0] if others else 0
     rest = others[1:]
-    for b0 in elems:
+    for b0 in starts:
         if g == 1:
             cands = [a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members]
         else:
@@ -204,8 +249,8 @@ def _pivot_scan(q, v, s_norm, elems, members, j_pivot) -> CheckOutcome:
     return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
 
 
-def coset_path(s, s_norm, q: int, v: int, pds: Pds, g: int) -> CheckOutcome:
-    """Pivot scan for an s_norm whose elements all share the factor g with v.
+def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
+    """Pivot scan for an s_norm whose elements all share the factor g with v = pds.v.
 
     Any image a*S + b stays inside the coset b + g*Z_v, so only a coset where
     the PDS has at least |S| elements can host one; when no coset has room
@@ -213,8 +258,7 @@ def coset_path(s, s_norm, q: int, v: int, pds: Pds, g: int) -> CheckOutcome:
     """
     if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
         return CheckOutcome(NO_IMAGE, reason="no eligible coset")
-    members = _member_set(pds.elems)
-    return _pivot_scan(q, v, s_norm, pds.elems, members, _best_pivot(s_norm, v))
+    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, pds.v), _scan_starts(pds))
 
 
 def brute_force_at_q(s, q: int, pds: Pds) -> CheckOutcome:

@@ -3,19 +3,24 @@ from math import gcd
 
 import pytest
 
+from sidonpds.dfs import enumerate_all_pds
+from sidonpds.fields import is_prime_power
 from sidonpds.orbit import (
     EXTENDS,
     NO_IMAGE,
     SKIP_COLLISION,
     SKIP_SIZE,
     MappingSource,
+    _best_pivot,
+    _pivot_scan,
+    _scan_starts,
     brute_force_at_q,
     coset_path,
     fast_check,
     fast_extends_at_q,
     rigor_class,
 )
-from sidonpds.sidon import is_sidon, sidon_distinct_mod
+from sidonpds.sidon import Pds, is_sidon, sidon_distinct_mod
 
 A = (0, 1, 3, 11)
 CANDIDATES = (A, (0, 1, 4, 11), (0, 8, 10, 11), (0, 7, 10, 11))
@@ -110,24 +115,36 @@ def test_fast_agrees_with_brute_on_candidates_small_q(source):
                 assert brute.kind == NO_IMAGE
 
 
-def test_fast_agrees_with_brute_on_random_quadruples(source):
+def _random_quadruples():
+    """100 seeded Sidon quadruples in [0, 40], sorted."""
     rng = random.Random(2024)
     sets = set()
     while len(sets) < 100:
         s = tuple(sorted(rng.sample(range(41), 4)))
         if is_sidon(s):
             sets.add(s)
-    cases = [(s, q) for s in sorted(sets) for q in (3, 4, 5, 7, 8, 9, 11)]
+    return sorted(sets)
+
+
+def _random_quadruple_cases():
+    """(set, q) pairs: the quadruples at small q, their dilations, and size-2 sets."""
+    sets = _random_quadruples()
+    cases = [(s, q) for s in sets for q in (3, 4, 5, 7, 8, 9, 11)]
     # dilations by factors of v = 21, 57, 91, 273: every pivot shares a factor
     # with v, so check_all_pivots runs the lifted scan on each one
     cases += [
         (tuple(k * x for x in s), q)
-        for s in sorted(sets)
+        for s in sets
         for k in (3, 7, 13)
         for q in (4, 7, 9, 16)
     ]
     # a size-2 set leaves the scan no element beside the pivot
     cases += [(s, q) for s in ((0, 5), (0, 3), (0, 7)) for q in (2, 4, 9, 16)]
+    return cases
+
+
+def test_fast_agrees_with_brute_on_random_quadruples(source):
+    cases = _random_quadruple_cases()
     lifted = 0
     for s, q in cases:
         pds = source.get(q)
@@ -195,9 +212,107 @@ def test_coset_path_no_room_pigeonhole(source):
     for b in pds.elems:
         sizes[b % 3] = sizes.get(b % 3, 0) + 1
     assert max(sizes.values()) < 4
-    out = coset_path((0, 3, 9, 12), (0, 3, 9, 12), 4, 21, pds, 3)
+    out = coset_path((0, 3, 9, 12), pds, 3)
     assert out.kind == NO_IMAGE
     assert out.reason == "no eligible coset"
+
+
+def _full_scan(s, pds):
+    """The pivot scan from every b0 of B: what the orbit starts must reproduce."""
+    s_norm = tuple((x - s[0]) % pds.v for x in s)
+    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, pds.v), starts=pds.elems)
+
+
+def _orbit(b, p, v):
+    out = {b}
+    x = p * b % v
+    while x != b:
+        out.add(x)
+        x = p * x % v
+    return out
+
+
+def test_scan_starts_take_the_first_of_each_orbit_on_cached_singer_sets(source):
+    for q in range(2, 65):
+        pp = is_prime_power(q)
+        if pp is None:
+            continue
+        pds = source.get(q)
+        starts = _scan_starts(pds)
+        assert len(starts) < len(pds.elems), q
+        position = {b: i for i, b in enumerate(pds.elems)}
+        covered = set()
+        for b in starts:
+            orbit = _orbit(b, pp.p, pds.v)
+            assert orbit <= position.keys(), (q, b)
+            assert min(position[x] for x in orbit) == position[b], (q, b)
+            assert not orbit & covered, (q, b)
+            covered |= orbit
+        assert covered == set(pds.elems), q
+        assert list(starts) == sorted(starts, key=position.__getitem__), q
+
+
+def _translate(pds, t):
+    return Pds(pds.q, pds.v, tuple(sorted((b + t) % pds.v for b in pds.elems)), "translate")
+
+
+def test_scan_starts_fall_back_to_every_b0_when_p_does_not_fix_b(source):
+    unfixed = [_translate(source.get(q), 1) for q in (3, 4, 5, 7)]
+    for q in (4, 5):
+        v = q * q + q + 1
+        unfixed += [Pds(q, v, elems, "enumeration") for elems in enumerate_all_pds(v)[0]]
+    assert len(unfixed) == 4 + 10 + 60
+    for pds in unfixed:
+        assert _scan_starts(pds) == pds.elems, pds
+    # at v = 13 the multiplier 3 fixes 4 of the 16 sets through 0, and only
+    # those lose starts
+    enumerated13 = [Pds(3, 13, elems, "enumeration") for elems in enumerate_all_pds(13)[0]]
+    fixed = [pds for pds in enumerated13 if {3 * b % 13 for b in pds.elems} == set(pds.elems)]
+    assert len(enumerated13) == 16 and len(fixed) == 4
+    for pds in enumerated13:
+        assert (len(_scan_starts(pds)) < len(pds.elems)) == (pds in fixed)
+    kinds = set()
+    for pds in unfixed + enumerated13:
+        for s in _random_quadruples():
+            fast = fast_extends_at_q(s, pds.q, pds)
+            brute = brute_force_at_q(s, pds.q, pds)
+            assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS), (s, pds)
+            if fast.kind in (EXTENDS, NO_IMAGE):
+                assert fast.witness == _full_scan(s, pds).witness, (s, pds)
+            kinds.add(fast.kind)
+    assert {EXTENDS, NO_IMAGE} <= kinds
+
+
+# the no-unit-pivot sets of the N=30 density row at their witness order, with
+# the witness (a, b) that check prints for them
+NO_UNIT_PIVOT_WITNESSES = (
+    ((0, 3, 14, 30), 37, (761, 214)),
+    ((0, 3, 21, 26), 61, (1571, 317)),
+    ((0, 7, 12, 15), 37, (517, 214)),
+    ((0, 13, 15, 18), 16, (233, 91)),
+    ((0, 14, 24, 27), 37, (116, 214)),
+    ((0, 14, 24, 30), 37, (962, 214)),
+    ((0, 15, 18, 28), 25, (538, 3)),
+    ((0, 18, 19, 27), 7, (14, 38)),
+    ((0, 18, 27, 28), 25, (515, 163)),
+)
+
+
+def test_orbit_starts_keep_the_full_scan_witness(source):
+    extends = 0
+    for s, q in _random_quadruple_cases():
+        pds = source.get(q)
+        fast = fast_extends_at_q(s, q, pds)
+        if fast.kind in (EXTENDS, NO_IMAGE):
+            assert fast.witness == _full_scan(s, pds).witness, (s, q)
+            extends += fast.kind == EXTENDS
+    assert extends > 100
+    for s, q, (a, b) in NO_UNIT_PIVOT_WITNESSES:
+        pds = source.get(q)
+        fast = fast_extends_at_q(s, q, pds)
+        assert fast.kind == EXTENDS, (s, q)
+        assert fast.witness == _full_scan(s, pds).witness, (s, q)
+        assert (fast.witness.a, fast.witness.b) == (a, b), (s, q)
 
 
 def test_unit_content_does_not_take_coset_path(source):
