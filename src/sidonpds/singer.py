@@ -4,7 +4,25 @@ For a prime power q the points of the projective plane over GF(q) can be
 indexed by powers of a generator g of GF(q^3)*: residues i mod v, with
 v = q^2 + q + 1, since g^v generates the subfield GF(q)*.  The residues
 where the GF(q^3)->GF(q) trace of g^i vanishes form a line of the plane and
-hence a perfect difference set of size q+1 (the trace-zero construction).
+hence a perfect difference set of size q+1 (the trace-zero construction;
+Singer 1938).
+
+The trace-zero scan works over the prime field.  With q = p^m, GF(q^3) is
+GF(p)^d for d = 3m, multiplication by g is a d x d matrix M, and the trace
+to GF(q) is m independent GF(p)-rows T_0..T_{m-1}.  The first trace
+coordinate u_i = T_0 M^i e (e the coefficients of 1) is a single GF(p)
+sequence, and it obeys a degree-d linear recurrence: the minimal polynomial
+of g has degree d (g generates GF(p^d)), so it is the characteristic
+polynomial of M, and by Cayley-Hamilton M^d is a fixed combination of
+M^0..M^{d-1}.  The scan streams u through a window of its last d values.
+The matrix H with rows T_0 M^k, k < d, maps the state g^i to that window,
+so the other trace rows become fixed functionals T_r H^-1 of the window;
+they are evaluated only where u_i = 0.  One left-solve mod p gives both the
+recurrence coefficients and those functionals, and a singular H raises
+instead of returning a wrong set.  The scan uses only the field GF(p^d) and
+its first primitive element, never the GF(q) tables or the coefficient
+search of the cubic recurrence below, so the two constructions stay
+independent.
 
 The cross-check construction runs a degree-3 linear recurrence over GF(q)
 whose characteristic polynomial is primitive: over one full period q^3 - 1
@@ -16,9 +34,11 @@ affine_equivalent, which searches the group (Z_v)* x Z_v directly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .fields import (
     elem_from_int,
@@ -30,6 +50,7 @@ from .fields import (
     is_prime_power,
     multiplication_matrix,
     one,
+    solve_left,
     subfield_trace_rows,
 )
 from .sidon import Pds, verify_pds
@@ -73,26 +94,34 @@ def singer_pds_trace(q: int) -> Pds:
 def _trace_zero_indices(ctx, g, sub_degree: int, count: int) -> list[int]:
     """Indices i < count with trace of g^i to GF(p^sub_degree) equal to zero.
 
-    Runs the power iteration as matrix-vector products on coefficient
-    vectors; both multiplication by g and the trace are GF(p)-linear.
+    Write M for multiplication by g, T_r for the independent trace rows and
+    e for the vector of one(ctx).  u_i = T_0 M^i e obeys
+    u_{i+d} = sum_k c_k u_{i+k}, because M satisfies the degree-d minimal
+    polynomial of g.  H, with rows T_0 M^k for k < d, maps the state M^i e
+    to the window (u_i, ..., u_{i+d-1}), so c solves c H = T_0 M^d and each
+    further row T_r is the functional L_r = T_r H^-1 of the window.  Both
+    come from one solve_left, which raises ArithmeticError when H is
+    singular, as it is when g lies in a proper subfield.  The window is
+    streamed; the length-count sequence is never stored.
     """
     p = ctx.p
     d = ctx.degree
     mul_rows = multiplication_matrix(ctx, g)
     t_rows = subfield_trace_rows(ctx, sub_degree)
-    s = list(one(ctx))
-    idx = range(d)
+    cols = tuple(zip(*mul_rows))
+    powers = [t_rows[0]]  # T_0 M^k for k = 0..d
+    for _ in range(d):
+        powers.append(tuple(sum(map(mul, powers[-1], col)) % p for col in cols))
+    h = powers[:d]
+    c, *others = solve_left(h, [powers[d], *t_rows[1:]], p)
+    e = one(ctx)
+    window = deque((sum(map(mul, row, e)) % p for row in h), maxlen=d)
+    push = window.append
     out = []
     for i in range(count):
-        for row in t_rows:
-            acc = 0
-            for j in idx:
-                acc += row[j] * s[j]
-            if acc % p:
-                break
-        else:
+        if window[0] == 0 and not any(sum(map(mul, row, window)) % p for row in others):
             out.append(i)
-        s = [sum(row[j] * s[j] for j in idx) % p for row in mul_rows]
+        push(sum(map(mul, c, window)) % p)
     return out
 
 

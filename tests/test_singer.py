@@ -2,17 +2,49 @@ from itertools import combinations
 
 import pytest
 
+from sidonpds.fields import (
+    field_ctx,
+    field_pow,
+    find_primitive_element,
+    is_prime_power,
+    multiplication_matrix,
+    one,
+    subfield_trace_rows,
+    trace_to_base,
+    zero,
+)
 from sidonpds.sidon import verify_pds
 from sidonpds.singer import (
     METHOD_RECURRENCE,
     METHOD_TRACE,
     InvalidCoefficientsError,
     RecurrenceCoeffs,
+    _trace_zero_indices,
     affine_equivalent,
     find_primitive_coeffs,
     singer_pds_recurrence,
     singer_pds_trace,
 )
+
+
+def _power_iteration_trace_zeros(ctx, g, sub_degree, count):
+    """Slow oracle for _trace_zero_indices: step s <- M s and test every trace row."""
+    p = ctx.p
+    mul_rows = multiplication_matrix(ctx, g)
+    t_rows = subfield_trace_rows(ctx, sub_degree)
+    s = list(one(ctx))
+    out = []
+    for i in range(count):
+        if all(sum(r * x for r, x in zip(row, s)) % p == 0 for row in t_rows):
+            out.append(i)
+        s = [sum(r * x for r, x in zip(row, s)) % p for row in mul_rows]
+    return out
+
+
+def _trace_setup(q):
+    pp = is_prime_power(q)
+    ctx = field_ctx(pp.p, 3 * pp.m)
+    return ctx, find_primitive_element(ctx), pp.m, q * q + q + 1
 
 
 def test_trace_q3_is_the_classical_set():
@@ -34,6 +66,32 @@ def test_trace_q4():
     spds = singer_pds_trace(4)
     assert spds.v == 21 and len(spds.elems) == 5
     assert verify_pds(spds.elems, 21)
+
+
+def test_trace_scan_matches_power_iteration():
+    # every prime power q <= 81: m = 1..6 and p = 2, 3, 5, 7, 11, ..., 79
+    qs = [q for q in range(2, 82) if is_prime_power(q)]
+    assert {is_prime_power(q).m for q in qs} == {1, 2, 3, 4, 5, 6}
+    for q in qs:
+        ctx, g, m, v = _trace_setup(q)
+        assert _trace_zero_indices(ctx, g, m, v) == _power_iteration_trace_zeros(ctx, g, m, v), q
+
+
+def test_trace_scan_matches_the_definition():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx, g, m, v = _trace_setup(q)
+        by_definition = [
+            i for i in range(v) if trace_to_base(ctx, m, field_pow(ctx, g, i)) == zero(ctx)
+        ]
+        assert _trace_zero_indices(ctx, g, m, v) == by_definition, q
+
+
+def test_trace_scan_rejects_a_singular_window():
+    # g = 1 makes u constant, so the rows T_0 M^k all coincide and H is singular
+    for q in (2, 3, 4, 5, 9):
+        ctx, _g, m, v = _trace_setup(q)
+        with pytest.raises(ArithmeticError):
+            _trace_zero_indices(ctx, one(ctx), m, v)
 
 
 def test_trace_rejects_non_prime_power():
