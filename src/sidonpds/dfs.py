@@ -5,17 +5,21 @@ assumption: they look for arbitrary perfect difference sets in Z_v directly,
 so an exhausted search is a proof of non-extension at that modulus, valid
 even at non-prime-power orders.
 
-The kernel keeps a v-bit used-difference table as a Python int (bit d set
-when the directed difference d already occurs; bit 0 is a sentinel marking
-occupied residues).  Adding an element x against the partial set P marks
-both (x - p) and (p - x) mod v for every p in P, and any collision prunes,
-including the implicit one where two fresh differences coincide (x the
-midpoint of two chosen elements).  A residue-availability mask is carried
-along and narrowed with rotated copies of the difference table, so each
-node only looks at candidates that survive every pairwise test against the
-current set; the per-candidate recheck stays the single source of truth.
-Non-seed elements are added in strictly increasing order, which removes
-permutation duplicates without losing any solution.
+The kernel carries six v-bit masks, each a Python int, down the recursion:
+the used directed differences D (bit 0 is a sentinel, so chosen residues
+read as "difference zero in use"), the allowed residues, and four views of
+the chosen set C: C itself, -C, C/2 (2 is a unit because v = q^2+q+1 is
+odd) and the sumset C + C.  A residue y is allowed when y - c lies outside
+D for every c in C and y is not the midpoint (c1 + c2)/2 of two chosen
+elements; the midpoint is the one collision between two fresh differences,
+x - c1 = c2 - x.  Adding x is a handful of rotations: the fresh differences
+are (x - C) | (C - x), and the newly forbidden residues are D' + x,
+(C + C) - x and the new midpoints (C' + x)/2.  So every allowed candidate
+extends the set, and no node loops over C.  Every leaf still passes
+`verify_pds` or raises.  Non-seed elements are added in strictly increasing
+order, which removes permutation duplicates without losing any solution and
+fixes the first witness.  The test suite keeps the older search, which
+rechecks each candidate pair by pair, as the oracle for this one.
 
 Timeouts are tracked per search and reported as their own outcome: a timed
 out search proves nothing and is never folded into "exhausted".
@@ -67,30 +71,27 @@ class _Stop(Exception):
 def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
     full = (1 << v) - 1
+    half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
+
+    def grow(x: int, used: int, allowed: int, members: int, negs: int, halves: int, sums: int):
+        """The masks after adding x, for x in allowed and 0 <= x < v."""
+        y = v - x
+        used |= ((negs << x | negs >> y) | (members << y | members >> x)) & full  # x - C, C - x
+        members |= 1 << x
+        hx = x * half % v
+        halves |= 1 << hx
+        # used + x, (C + C) - x and the new midpoints (C + x) / 2
+        bad = used << x | used >> y | sums << y | sums >> x | halves << hx | halves >> (v - hx)
+        return (used, allowed & ~bad, members, negs | 1 << (y % v), halves,
+                sums | ((members << x | members >> y) & full))
+
+    # bit 0 of used: residues already taken read as "difference zero in use"
+    state = (1, full, 0, 0, 0, 0)
     base = sorted({x % v for x in seed})
-    used = 1  # bit 0: residues already taken read as "difference zero in use"
-    for i, x in enumerate(base):
-        fresh = 0
-        for p in base[:i]:
-            d = (x - p) % v
-            bits = (1 << d) | (1 << (v - d))
-            if (used | fresh) & bits:
-                raise ValueError("seed has difference collisions mod v")
-            fresh |= bits
-        used |= fresh
-    allowed = 0
-    for y in range(v):
-        if y in base:
-            continue
-        fresh = 0
-        for p in base:
-            d = (y - p) % v
-            bits = (1 << d) | (1 << (v - d))
-            if (used | fresh) & bits:
-                break
-            fresh |= bits
-        else:
-            allowed |= 1 << y
+    for x in base:
+        if not state[1] >> x & 1:
+            raise ValueError("seed has difference collisions mod v")
+        state = grow(x, *state)
     if len(base) == n:
         sol = tuple(base)
         if not verify_pds(sol, v):
@@ -99,17 +100,17 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     t0 = time.monotonic()
     deadline = None if budget is None else t0 + budget.time_limit_s
     node_limit = None if budget is None else budget.node_limit
-    state = {"nodes": 0}
+    nodes = 0
     solutions: list[tuple[int, ...]] = []
 
-    def recurse(chosen: list[int], used: int, allowed: int, last: int):
-        state["nodes"] += 1
-        if state["nodes"] % _TIME_CHECK_QUANTUM == 0:
+    def recurse(slots: int, last: int, used, allowed, members, negs, halves, sums):
+        nonlocal nodes
+        nodes += 1
+        if nodes % _TIME_CHECK_QUANTUM == 0:
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
-            if node_limit is not None and state["nodes"] > node_limit:
+            if node_limit is not None and nodes > node_limit:
                 raise _Stop
-        slots = n - len(chosen)
         cand = allowed >> (last + 1) << (last + 1)
         if cand.bit_count() < slots:
             return False
@@ -117,44 +118,28 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
             bit = cand & (-cand)
             cand ^= bit
             x = bit.bit_length() - 1
-            fresh = 0
-            ok = True
-            for p in chosen:
-                d = (x - p) % v
-                bits = (1 << d) | (1 << (v - d))
-                if (used | fresh) & bits:
-                    ok = False
-                    break
-                fresh |= bits
-            if not ok:
-                continue
             if slots == 1:
-                sol = tuple(sorted(chosen + [x]))
+                sol = tuple(y for y in range(v) if (members | bit) >> y & 1)
                 if not verify_pds(sol, v):
                     raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
                 solutions.append(sol)
                 if not find_all:
                     return True
                 continue
-            used2 = used | fresh
-            shift = used2 >> (v - x)
-            bad = ((used2 << x) | shift) & full
-            for p in chosen:
-                bad |= ((fresh << p) | (fresh >> (v - p))) & full
-            if recurse(chosen + [x], used2, allowed & ~bad, x):
+            if recurse(slots - 1, x, *grow(x, used, allowed, members, negs, halves, sums)):
                 return True
         return False
 
     status = EXHAUSTED
     try:
-        found = recurse(base, used, allowed, -1)
+        found = recurse(n - len(base), -1, *state)
         if found:
             status = FOUND
     except _Stop:
         status = TIMEOUT
     if find_all and status == EXHAUSTED and solutions:
         status = FOUND  # enumeration that ran to completion and found sets
-    return solutions, status, state["nodes"]
+    return solutions, status, nodes
 
 
 def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> DfsRun:
@@ -186,9 +171,12 @@ def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> Df
 def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, ...]], int]:
     """All perfect difference sets in Z_v containing 0, plus the total count over Z_v.
 
-    Every PDS has v distinct translates of which exactly n = q+1 pass through
-    0, so total * (q+1) = (count through 0) * v holds exactly and gives the
-    total without enumerating translates.
+    The search is anchored at {0, 1}.  Difference 1 occurs exactly once in a
+    PDS, so (B, b) -> B - b is a bijection from the pairs with B containing
+    {0, 1} and b in B onto the PDSs through 0.  The list through 0 is
+    therefore n = q+1 times the anchored list, and since exactly n of the v
+    translates of a PDS pass through 0, the total over Z_v is
+    v * (count through {0, 1}) = v * (count through 0) / n.
     """
     q = (isqrt(4 * v - 3) - 1) // 2
     if q < 2 or q * q + q + 1 != v:
@@ -196,8 +184,10 @@ def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, .
     if v > _ENUMERATION_V_LIMIT and not force:
         raise ValueError(f"v={v} above the default enumeration bound {_ENUMERATION_V_LIMIT}; pass force=True")
     n = q + 1
-    solutions, status, _nodes = _search(v, n, (0,), find_all=True, budget=None)
-    solutions.sort()
+    anchored, _status, _nodes = _search(v, n, (0, 1), find_all=True, budget=None)
+    solutions = sorted(tuple(sorted((x - b) % v for x in s)) for s in anchored for b in s)
+    if len(set(solutions)) != len(solutions):
+        raise AssertionError("translates of the sets through {0, 1} are not distinct")
     count0 = len(solutions)
     if (count0 * v) % n:
         raise AssertionError("translate counting identity violated")

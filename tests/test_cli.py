@@ -178,6 +178,23 @@ def test_independent_check_extending_set(capsys, data_root):
     assert "conclusion: extends at v=7" in out
 
 
+@pytest.mark.parametrize(
+    "seed,q_hi,line",
+    [
+        ("0,1,4", "4", " q=3, v=13: EXTENDS via B=[0, 1, 4, 6]"),
+        ("0,1,3,7", "8", " q=8, v=73: EXTENDS via B=[0, 1, 3, 7, 15, 31, 36, 54, 63]"),
+    ],
+)
+def test_independent_check_pins_the_dfs_witness(capsys, data_root, seed, q_hi, line):
+    # Witnesses found by the DFS (the seed is smaller than the target size),
+    # captured before the search kernel moved to rotated masks.
+    code, out, _ = run(
+        capsys, "--data-root", data_root, "independent-check", "--set", seed, "--q-hi", q_hi
+    )
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_closure_small(capsys, data_root):
     code, out, _ = run(
         capsys, "--data-root", data_root, "closure", "0,1,3,11", "5", "15", "--q-max", "250"

@@ -1,22 +1,181 @@
+import random
+import time
+
 import pytest
 
 from sidonpds.dfs import (
+    _TIME_CHECK_QUANTUM,
     EXHAUSTED,
     FOUND,
     SKIP_COLLISION,
     SKIP_SIZE,
     TIMEOUT,
     DfsBudget,
+    _search,
+    _Stop,
     all_in_singer_orbit,
     enumerate_all_pds,
     find_pds_extension,
     independent_check,
 )
-from sidonpds.sidon import verify_pds
+from sidonpds.sidon import is_sidon, sidon_distinct_mod, verify_pds
 from sidonpds.singer import affine_equivalent, singer_pds_trace
 
 A = (0, 1, 3, 11)
 B = (0, 1, 4, 11)
+
+
+# The search as it was before the rotated-mask kernel: every candidate is
+# rechecked against each chosen element, and each child's forbidden residues
+# are rebuilt pair by pair.  Slow, and kept as the oracle for `_search`.
+def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
+    """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
+    full = (1 << v) - 1
+    base = sorted({x % v for x in seed})
+    used = 1  # bit 0: residues already taken read as "difference zero in use"
+    for i, x in enumerate(base):
+        fresh = 0
+        for p in base[:i]:
+            d = (x - p) % v
+            bits = (1 << d) | (1 << (v - d))
+            if (used | fresh) & bits:
+                raise ValueError("seed has difference collisions mod v")
+            fresh |= bits
+        used |= fresh
+    allowed = 0
+    for y in range(v):
+        if y in base:
+            continue
+        fresh = 0
+        for p in base:
+            d = (y - p) % v
+            bits = (1 << d) | (1 << (v - d))
+            if (used | fresh) & bits:
+                break
+            fresh |= bits
+        else:
+            allowed |= 1 << y
+    if len(base) == n:
+        sol = tuple(base)
+        if not verify_pds(sol, v):
+            raise AssertionError("full-size seed with distinct differences must be a PDS")
+        return [sol], FOUND, 0
+    t0 = time.monotonic()
+    deadline = None if budget is None else t0 + budget.time_limit_s
+    node_limit = None if budget is None else budget.node_limit
+    state = {"nodes": 0}
+    solutions: list[tuple[int, ...]] = []
+
+    def recurse(chosen: list[int], used: int, allowed: int, last: int):
+        state["nodes"] += 1
+        if state["nodes"] % _TIME_CHECK_QUANTUM == 0:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Stop
+            if node_limit is not None and state["nodes"] > node_limit:
+                raise _Stop
+        slots = n - len(chosen)
+        cand = allowed >> (last + 1) << (last + 1)
+        if cand.bit_count() < slots:
+            return False
+        while cand:
+            bit = cand & (-cand)
+            cand ^= bit
+            x = bit.bit_length() - 1
+            fresh = 0
+            ok = True
+            for p in chosen:
+                d = (x - p) % v
+                bits = (1 << d) | (1 << (v - d))
+                if (used | fresh) & bits:
+                    ok = False
+                    break
+                fresh |= bits
+            if not ok:
+                continue
+            if slots == 1:
+                sol = tuple(sorted(chosen + [x]))
+                if not verify_pds(sol, v):
+                    raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
+                solutions.append(sol)
+                if not find_all:
+                    return True
+                continue
+            used2 = used | fresh
+            shift = used2 >> (v - x)
+            bad = ((used2 << x) | shift) & full
+            for p in chosen:
+                bad |= ((fresh << p) | (fresh >> (v - p))) & full
+            if recurse(chosen + [x], used2, allowed & ~bad, x):
+                return True
+        return False
+
+    status = EXHAUSTED
+    try:
+        found = recurse(base, used, allowed, -1)
+        if found:
+            status = FOUND
+    except _Stop:
+        status = TIMEOUT
+    if find_all and status == EXHAUSTED and solutions:
+        status = FOUND  # enumeration that ran to completion and found sets
+    return solutions, status, state["nodes"]
+
+
+def _random_sidon_pool(count=40, seed=8):
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < count:
+        s = tuple(sorted(rng.sample(range(41), rng.randint(3, 5))))
+        if is_sidon(s) and s not in pool:
+            pool.append(s)
+    return pool
+
+
+@pytest.mark.parametrize("v,n", [(7, 3), (13, 4), (21, 5), (31, 6)])
+def test_search_matches_the_pairwise_oracle_find_all(v, n):
+    sols, status, nodes = _search(v, n, (0,), find_all=True, budget=None)
+    want, want_status, want_nodes = _pairwise_search(v, n, (0,), find_all=True, budget=None)
+    assert (sols, status) == (want, want_status)
+    assert nodes <= want_nodes
+
+
+def test_search_matches_the_pairwise_oracle_seeded():
+    statuses = []
+    for s in [A, B] + _random_sidon_pool():
+        for q in range(2, 10):
+            v, n = q * q + q + 1, q + 1
+            if len(s) > n or not sidon_distinct_mod(s, v):
+                continue
+            got = _search(v, n, s, find_all=False, budget=None)
+            want = _pairwise_search(v, n, s, find_all=False, budget=None)
+            assert got[:2] == want[:2], (s, v)
+            assert got[2] <= want[2], (s, v)
+            statuses.append(got[1])
+            if got[1] == FOUND:
+                break
+    assert statuses.count(FOUND) >= 20 and statuses.count(EXHAUSTED) >= 20
+    assert set(statuses) == {FOUND, EXHAUSTED}
+
+
+# (0, 2, 7, 9) repeats the difference 2; (0, 1, 2) and (0, 5, 10) have a
+# midpoint, so two fresh differences of the last element coincide.
+@pytest.mark.parametrize("seed", [A, (0, 2, 7, 9), (0, 1, 2), (0, 5, 10)])
+def test_search_rejects_a_seed_with_colliding_differences_mod_v(seed):
+    for search in (_search, _pairwise_search):
+        with pytest.raises(ValueError):
+            search(13, 4, seed, find_all=False, budget=None)
+
+
+@pytest.mark.parametrize("v,n", [(7, 3), (13, 4), (21, 5), (31, 6)])
+def test_anchored_enumeration_rebuilds_the_list_through_zero(v, n):
+    sols, total = enumerate_all_pds(v)
+    through0, _, _ = _pairwise_search(v, n, (0,), find_all=True, budget=None)
+    assert sols == sorted(through0)
+    assert all(0 in s and verify_pds(s, v) for s in sols)
+    assert len(set(sols)) == len(sols)
+    anchored, _, _ = _search(v, n, (0, 1), find_all=True, budget=None)
+    assert len(sols) == n * len(anchored)
+    assert total == v * len(anchored)
 
 
 def test_find_extension_of_013_in_z13():
