@@ -16,7 +16,6 @@ Singer or uniqueness input at all.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -155,6 +154,9 @@ def enumerate_sidon(n_max: int, size: int, q_max: int, *, source=None, data_root
     if jobs > 1 and not isinstance(src, orbit.PdsSource):
         jobs = 1  # workers reload from disk; an in-memory source cannot fan out
     if jobs > 1:
+        # imported here: multiprocessing roughly doubles `import sidonpds`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_worker_init, initargs=(src.data_root,)
         ) as pool:

@@ -86,6 +86,13 @@ def verify_pds(elems, v: int) -> bool:
     Requires k(k-1) = v - 1 and each nonzero residue to occur exactly once
     as an ordered difference; with the cardinality pinned, distinctness of
     the differences is equivalent to covering every residue.
+
+    The check runs on big-int bit masks.  N marks {-b mod v : b in B}, so
+    N << x marks x - b for every b; the OR of those k shifts, folded mod v,
+    marks every ordered difference.  Each shift contributes bit 0 and at
+    most k - 1 nonzero bits, so the k(k-1) = v - 1 nonzero bits fill Z_v
+    iff no two coincide, that is iff all differences are distinct.
+    Repeated elements leave fewer distinct residues and so fail as well.
     """
     xs = tuple(elems)
     if any(not 0 <= x < v for x in xs):
@@ -93,16 +100,16 @@ def verify_pds(elems, v: int) -> bool:
     k = len(xs)
     if k * (k - 1) != v - 1:
         return False
-    hit = bytearray(v)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = (xs[i] - xs[j]) % v
-            if d == 0 or hit[d]:
-                return False
-            hit[d] = 1
-    return True
+    if k <= 1:
+        return True  # v = 1: no nonzero residue to cover
+    neg = 0
+    for x in xs:
+        neg |= 1 << (-x % v)
+    acc = 0
+    for x in xs:
+        acc |= neg << x
+    full = (1 << v) - 1
+    return (acc & full) | (acc >> v) == full
 
 
 def dilate(s, k: int) -> tuple[int, ...]:

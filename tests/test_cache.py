@@ -52,6 +52,23 @@ def test_load_rejects_tampered_residues(tmp_path):
         load_pds(3, tmp_path)
 
 
+def test_load_rejects_a_moved_residue_at_q_317(data_root, tmp_path):
+    # one residue moved to an unused one, the file still sorted and distinct
+    data = json.loads(pds_path(317, data_root).read_text())
+    elems = data["B"]
+    taken = set(elems)
+    unused = next(r for r in range(data["v"]) if r not in taken)
+    moved = sorted(set(elems[1:]) | {unused})
+    assert len(moved) == len(elems) and moved != elems
+    path = pds_path(317, tmp_path)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(dict(data, B=elems)) + "\n")
+    assert load_pds(317, tmp_path).elems == tuple(elems)
+    path.write_text(json.dumps(dict(data, B=moved)) + "\n")
+    with pytest.raises(CacheIntegrityError, match="not a perfect difference set"):
+        load_pds(317, tmp_path)
+
+
 def test_load_rejects_bad_json_and_bad_modulus(tmp_path):
     build_pds_cache(3, tmp_path)
     path = pds_path(2, tmp_path)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,18 @@ def test_parallel_enumeration_matches_serial(data_root, source):
     _, serial = enumerate_sidon(12, 4, 64, source=source)
     _, parallel = enumerate_sidon(12, 4, 64, data_root=data_root, jobs=2)
     assert serial == parallel
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # enumerate_sidon imports it only for jobs > 1; the test above covers that path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, sidonpds; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_family_members_and_matcher():

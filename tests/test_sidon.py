@@ -1,8 +1,11 @@
+import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sidonpds.fields import is_prime_power
 from sidonpds.sidon import (
     diff_signature,
     dilate,
@@ -67,6 +70,9 @@ def test_verify_pds_examples():
 def test_verify_pds_range_check():
     with pytest.raises(ValueError):
         verify_pds((0, 1, 14), 13)
+    for elems in [(-1, 1, 3), (0, 1, 7), (-1,), (7,)]:  # -1 and v, with and without the right size
+        with pytest.raises(ValueError):
+            verify_pds(elems, 7)
 
 
 def _difference_tally_oracle(elems, v):
@@ -94,6 +100,93 @@ def test_verify_pds_against_tally_oracle():
         for _ in range(300):
             s = tuple(sorted(rng.sample(range(v), q + 1)))
             assert verify_pds(s, v) == _difference_tally_oracle(s, v)
+
+
+def _pairwise_verify_pds(elems, v):
+    # the pairwise loop that verify_pds ran before its bit-mask form, kept verbatim
+    xs = tuple(elems)
+    if any(not 0 <= x < v for x in xs):
+        raise ValueError(f"elements must lie in [0, {v})")
+    k = len(xs)
+    if k * (k - 1) != v - 1:
+        return False
+    hit = bytearray(v)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            d = (xs[i] - xs[j]) % v
+            if d == 0 or hit[d]:
+                return False
+            hit[d] = 1
+    return True
+
+
+def _verify_agrees(elems, v):
+    got = verify_pds(elems, v)
+    assert got == _pairwise_verify_pds(elems, v) == _difference_tally_oracle(elems, v), (elems, v)
+    return got
+
+
+PERTURBED_ORDERS = (2, 3, 4, 5, 7, 64, 128, 256, 317)
+
+
+def test_verify_pds_accepts_every_cached_set(source):
+    cached = [source.get(q) for q in range(2, 318) if is_prime_power(q)]
+    assert len(cached) == 83
+    for pds in cached:
+        assert _verify_agrees(pds.elems, pds.v)
+
+
+@pytest.mark.parametrize("q", PERTURBED_ORDERS)
+def test_verify_pds_matches_the_oracles_on_perturbed_sets(source, q):
+    pds = source.get(q)
+    elems, v = pds.elems, pds.v
+    rng = random.Random(1000 + q)
+    unused = sorted(set(range(v)) - set(elems))
+    rejected = 0
+    for _ in range(12):
+        i = rng.randrange(len(elems))
+        moved = list(elems)
+        moved[i] = rng.choice(unused)
+        rejected += not _verify_agrees(tuple(sorted(moved)), v)
+        j = rng.choice([j for j in range(len(elems)) if j != i])
+        doubled = list(elems)
+        doubled[i] = elems[j]
+        assert not _verify_agrees(tuple(sorted(doubled)), v)
+    if q >= 64:
+        assert rejected == 12  # at large v no seeded move lands on another PDS
+
+
+@pytest.mark.parametrize("q", PERTURBED_ORDERS)
+def test_verify_pds_on_translates_and_dilations(source, q):
+    pds = source.get(q)
+    elems, v = pds.elems, pds.v
+    for t in (1, 2, v // 3, v - 1):
+        assert _verify_agrees(tuple(sorted((x + t) % v for x in elems)), v)
+    units = [u for u in range(2, 60) if gcd(u, v) == 1][:4]
+    for u in units:
+        assert _verify_agrees(tuple(sorted(u * x % v for x in elems)), v)
+    non_units = [g for g in range(2, 60) if gcd(g, v) > 1][:3]
+    for g in non_units:  # all differences fall in the subgroup gZ_v, missing 1
+        assert not _verify_agrees(tuple(sorted(g * x % v for x in elems)), v)
+    if q in (4, 7, 64, 256):
+        assert non_units  # v = 21, 57, 4161, 65793 are composite
+
+
+@pytest.mark.parametrize("q", PERTURBED_ORDERS)
+def test_verify_pds_rejects_wrong_cardinality(source, q):
+    pds = source.get(q)
+    elems, v = pds.elems, pds.v
+    extra = min(set(range(v)) - set(elems))
+    assert not _verify_agrees(elems[:-1], v)
+    assert not _verify_agrees(tuple(sorted(elems + (extra,))), v)
+    assert not _verify_agrees(elems, v + 1)
+
+
+def test_verify_pds_at_modulus_one():
+    assert _verify_agrees((), 1)
+    assert _verify_agrees((0,), 1)
 
 
 def test_perfection_equals_distinctness_at_exact_cardinality():
