@@ -16,10 +16,25 @@ x - c1 = c2 - x.  Adding x is a handful of rotations: the fresh differences
 are (x - C) | (C - x), and the newly forbidden residues are D' + x,
 (C + C) - x and the new midpoints (C' + x)/2.  So every allowed candidate
 extends the set, and no node loops over C.  Every leaf still passes
-`verify_pds` or raises.  Non-seed elements are added in strictly increasing
-order, which removes permutation duplicates without losing any solution and
-fixes the first witness.  The test suite keeps the older search, which
-rechecks each candidate pair by pair, as the oracle for this one.
+`verify_pds` or raises.
+
+Each node branches on how the smallest difference d outside D gets covered
+(exact cover; Knuth, Dancing Links, 2000).  In a PDS every nonzero
+difference occurs exactly once, so exactly one pair of the final set has
+difference d.  Either it holds one chosen element, and the new element is
+x in (C + d) | (C - d), never both since x would be a midpoint; or it holds
+two new elements y and y + d.  The branches are disjoint and together cover
+every extension, so each solution is reached once, in any order.
+
+Find-first returns the least solution, in lex order of the sorted sets.
+That is the set the older search met first, as it added non-seed elements
+in increasing order: for two extensions of one seed the least element of
+their symmetric difference is not in the seed, so the lex order of the full
+sets is the lex order of the added elements.  It tries the children in the
+order of a lower bound on the sets below them and drops a child whose bound
+does not beat the least solution found so far.  The test suite keeps the
+older search, and the one before it that rechecks each candidate pair by
+pair, as oracles for this one.
 
 Timeouts are tracked per search and reported as their own outcome: a timed
 out search proves nothing and is never folded into "exhausted".
@@ -38,7 +53,7 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
 
-_TIME_CHECK_QUANTUM = 2048
+_TIME_CHECK_QUANTUM = 256
 _ENUMERATION_V_LIMIT = 73
 
 
@@ -69,7 +84,11 @@ class _Stop(Exception):
 
 
 def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
-    """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
+    """Core DFS; returns (solutions, status, nodes). Solutions contain the seed.
+
+    The solutions come back sorted.  Find-first runs the tree to the end, or
+    to the budget, and keeps only the least solution.
+    """
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
 
@@ -102,8 +121,43 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     node_limit = None if budget is None else budget.node_limit
     nodes = 0
     solutions: list[tuple[int, ...]] = []
+    least = None  # find-first: the rank of the least solution so far
 
-    def recurse(slots: int, last: int, used, allowed, members, negs, halves, sums):
+    def rank(members: int) -> str:
+        """One character per residue, "0" for a member.
+
+        X ranks before Y iff the least residue of X ^ Y is in X; on sets of
+        one size that is the lex order of their sorted tuples.
+        """
+        return format(full ^ members, f"0{v}b")[::-1]
+
+    def reach(slots: int, st) -> str:
+        """A lower bound on the rank of every solution below st.
+
+        Add the lowest allowed residue while slots remain.  A solution below
+        st that holds the first i picks holds no residue below the next one,
+        so it ranks at or after the set reached, and a set reached with every
+        slot filled is the least solution below st.
+        """
+        for _ in range(slots):
+            allowed = st[1]
+            if not allowed:
+                break
+            st = grow((allowed & -allowed).bit_length() - 1, *st)
+        return rank(st[2])
+
+    def leaf(members: int):
+        nonlocal least
+        sol = tuple(y for y in range(v) if members >> y & 1)
+        if not verify_pds(sol, v):
+            raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
+        if find_all:
+            solutions.append(sol)
+        elif not solutions or sol < solutions[0]:
+            solutions[:] = [sol]
+            least = rank(members)
+
+    def recurse(slots: int, used, allowed, members, negs, halves, sums):
         nonlocal nodes
         nodes += 1
         if nodes % _TIME_CHECK_QUANTUM == 0:
@@ -111,34 +165,55 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
                 raise _Stop
             if node_limit is not None and nodes > node_limit:
                 raise _Stop
-        cand = allowed >> (last + 1) << (last + 1)
-        if cand.bit_count() < slots:
-            return False
+        d = (~used & (used + 1)).bit_length() - 1  # the smallest uncovered difference
+        children = []
+        # one new element x = c + d or c - d; never both, x would be a midpoint
+        cand = (members << d | members >> (v - d) | members << (v - d) | members >> d) & allowed
         while cand:
             bit = cand & (-cand)
             cand ^= bit
             x = bit.bit_length() - 1
             if slots == 1:
-                sol = tuple(y for y in range(v) if (members | bit) >> y & 1)
-                if not verify_pds(sol, v):
-                    raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
-                solutions.append(sol)
-                if not find_all:
-                    return True
-                continue
-            if recurse(slots - 1, x, *grow(x, used, allowed, members, negs, halves, sums)):
-                return True
-        return False
+                leaf(members | bit)
+            else:
+                children.append((slots - 1, grow(x, used, allowed, members, negs, halves, sums)))
+        if slots >= 2:
+            # two new elements y and y + d
+            cand = allowed & (allowed >> d | allowed << (v - d))
+            while cand:
+                bit = cand & (-cand)
+                cand ^= bit
+                y = bit.bit_length() - 1
+                z = (y + d) % v
+                st = grow(y, used, allowed, members, negs, halves, sums)
+                if not st[1] >> z & 1:
+                    continue
+                if slots == 2:
+                    leaf(st[2] | 1 << z)
+                else:
+                    children.append((slots - 2, grow(z, *st)))
+        children = [(k, st) for k, st in children if st[1].bit_count() >= k]
+        if find_all:
+            for k, st in children:
+                recurse(k, *st)
+            return
+        # find-first: the child that reaches the lowest set first, and none
+        # that cannot reach below the least solution found so far
+        for bound, k, st in sorted(((reach(k, st), k, st) for k, st in children), key=lambda c: c[0]):
+            if least is not None and bound >= least:
+                return
+            recurse(k, *st)
 
     status = EXHAUSTED
     try:
-        found = recurse(n - len(base), -1, *state)
-        if found:
-            status = FOUND
+        recurse(n - len(base), *state)
     except _Stop:
         status = TIMEOUT
-    if find_all and status == EXHAUSTED and solutions:
-        status = FOUND  # enumeration that ran to completion and found sets
+    solutions.sort()
+    # an enumeration that ran to completion, or find-first with the least
+    # solution met, whether or not the budget ran out
+    if solutions and (status == EXHAUSTED or not find_all):
+        status = FOUND
     return solutions, status, nodes
 
 
@@ -146,7 +221,11 @@ def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> Df
     """Search for a perfect difference set of size n in Z_v containing s mod v.
 
     Returns found (with a verified witness), exhausted (a completed search:
-    no extension exists at this modulus), or timeout (no conclusion).
+    no extension exists at this modulus), or timeout (no conclusion).  The
+    witness is the least extension in lex order.  When the budget stops the
+    search after it has met an extension, the run is found with the least
+    extension met so far, which is verified and holds s mod v like any
+    witness but need not be the least one.
     """
     if n * (n - 1) != v - 1:
         raise ValueError(f"size {n} does not match modulus {v}: need n(n-1) = v-1")

@@ -121,6 +121,83 @@ def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget 
     return solutions, status, state["nodes"]
 
 
+# The search before exact-cover branching: rotated masks, every surviving
+# element tried in increasing order, and the first solution met returned.
+# Kept as the oracle for `_search` at sizes the pairwise oracle cannot reach.
+def _increasing_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
+    """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
+    full = (1 << v) - 1
+    half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
+
+    def grow(x: int, used: int, allowed: int, members: int, negs: int, halves: int, sums: int):
+        """The masks after adding x, for x in allowed and 0 <= x < v."""
+        y = v - x
+        used |= ((negs << x | negs >> y) | (members << y | members >> x)) & full  # x - C, C - x
+        members |= 1 << x
+        hx = x * half % v
+        halves |= 1 << hx
+        # used + x, (C + C) - x and the new midpoints (C + x) / 2
+        bad = used << x | used >> y | sums << y | sums >> x | halves << hx | halves >> (v - hx)
+        return (used, allowed & ~bad, members, negs | 1 << (y % v), halves,
+                sums | ((members << x | members >> y) & full))
+
+    # bit 0 of used: residues already taken read as "difference zero in use"
+    state = (1, full, 0, 0, 0, 0)
+    base = sorted({x % v for x in seed})
+    for x in base:
+        if not state[1] >> x & 1:
+            raise ValueError("seed has difference collisions mod v")
+        state = grow(x, *state)
+    if len(base) == n:
+        sol = tuple(base)
+        if not verify_pds(sol, v):
+            raise AssertionError("full-size seed with distinct differences must be a PDS")
+        return [sol], FOUND, 0
+    t0 = time.monotonic()
+    deadline = None if budget is None else t0 + budget.time_limit_s
+    node_limit = None if budget is None else budget.node_limit
+    nodes = 0
+    solutions: list[tuple[int, ...]] = []
+
+    def recurse(slots: int, last: int, used, allowed, members, negs, halves, sums):
+        nonlocal nodes
+        nodes += 1
+        if nodes % _TIME_CHECK_QUANTUM == 0:
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Stop
+            if node_limit is not None and nodes > node_limit:
+                raise _Stop
+        cand = allowed >> (last + 1) << (last + 1)
+        if cand.bit_count() < slots:
+            return False
+        while cand:
+            bit = cand & (-cand)
+            cand ^= bit
+            x = bit.bit_length() - 1
+            if slots == 1:
+                sol = tuple(y for y in range(v) if (members | bit) >> y & 1)
+                if not verify_pds(sol, v):
+                    raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
+                solutions.append(sol)
+                if not find_all:
+                    return True
+                continue
+            if recurse(slots - 1, x, *grow(x, used, allowed, members, negs, halves, sums)):
+                return True
+        return False
+
+    status = EXHAUSTED
+    try:
+        found = recurse(n - len(base), -1, *state)
+        if found:
+            status = FOUND
+    except _Stop:
+        status = TIMEOUT
+    if find_all and status == EXHAUSTED and solutions:
+        status = FOUND  # enumeration that ran to completion and found sets
+    return solutions, status, nodes
+
+
 def _random_sidon_pool(count=40, seed=8):
     rng = random.Random(seed)
     pool = []
@@ -157,11 +234,33 @@ def test_search_matches_the_pairwise_oracle_seeded():
     assert set(statuses) == {FOUND, EXHAUSTED}
 
 
+@pytest.mark.parametrize("v,n", [(43, 7), (57, 8), (73, 9)])
+def test_search_matches_the_increasing_oracle_find_all(v, n):
+    sols, status, nodes = _search(v, n, (0, 1), find_all=True, budget=None)
+    want, want_status, want_nodes = _increasing_search(v, n, (0, 1), find_all=True, budget=None)
+    assert (sols, status) == (want, want_status)
+    assert nodes <= want_nodes
+
+
+# Every q up to 11, found or not: (0, 1, 4) is found at q = 3, 4, 5, 7, 9 and
+# 11 and exhausted at q = 6, 8 and 10; (0, 1, 3, 7) is found only at q = 8.
+@pytest.mark.parametrize("seed", [A, B, (0, 1, 4), (0, 1, 3, 7)], ids=["A", "B", "014", "0137"])
+def test_search_matches_the_increasing_oracle_seeded(seed):
+    for q in range(2, 12):
+        v, n = q * q + q + 1, q + 1
+        if len(seed) > n or not sidon_distinct_mod(seed, v):
+            continue
+        got = _search(v, n, seed, find_all=False, budget=None)
+        want = _increasing_search(v, n, seed, find_all=False, budget=None)
+        assert got[:2] == want[:2], v
+        assert got[2] <= want[2], v
+
+
 # (0, 2, 7, 9) repeats the difference 2; (0, 1, 2) and (0, 5, 10) have a
 # midpoint, so two fresh differences of the last element coincide.
 @pytest.mark.parametrize("seed", [A, (0, 2, 7, 9), (0, 1, 2), (0, 5, 10)])
 def test_search_rejects_a_seed_with_colliding_differences_mod_v(seed):
-    for search in (_search, _pairwise_search):
+    for search in (_search, _increasing_search, _pairwise_search):
         with pytest.raises(ValueError):
             search(13, 4, seed, find_all=False, budget=None)
 
@@ -212,8 +311,20 @@ def test_timeout_is_reported_not_exhausted():
 
 
 def test_node_limit_counts_as_timeout():
-    out = find_pds_extension(A, 133, 12, DfsBudget(time_limit_s=60, node_limit=3000))
+    # the exhaustive search of A at v = 133 takes 1,721 nodes
+    out = find_pds_extension(A, 133, 12, DfsBudget(time_limit_s=60, node_limit=1000))
     assert out.status == TIMEOUT
+    assert out.pds is None
+
+
+def test_budget_that_stops_after_an_extension_reports_it():
+    # (0, 1) at v = 133 meets its first extension between nodes 4,096 and
+    # 8,192, and exhausts the tree only after 17,771 nodes
+    out = find_pds_extension((0, 1), 133, 12, DfsBudget(time_limit_s=60, node_limit=8000))
+    assert out.status == FOUND
+    assert out.nodes < 8000 + _TIME_CHECK_QUANTUM
+    assert {0, 1} <= set(out.pds)
+    assert verify_pds(out.pds, 133)
 
 
 def test_budget_validation():
@@ -276,6 +387,13 @@ def test_independent_check_timeouts_disqualify_proof():
     assert rep.runs[0].status == TIMEOUT
     assert not rep.extends
     assert not rep.no_extension_proven
+
+
+def test_independent_check_exhausts_order_12():
+    # q = 12 is not a prime power: neither the cache nor the Singer scan decides v = 157
+    for rep in independent_check([A, B], 12, 12):
+        assert [(r.v, r.status) for r in rep.runs] == [(157, EXHAUSTED)]
+        assert rep.no_extension_proven
 
 
 def test_independent_check_covers_non_prime_power_orders():
