@@ -43,6 +43,7 @@ from .orbit import (
     PdsSource,
     brute_force_at_q,
     fast_check,
+    fast_check_many,
     fast_extends_at_q,
     rigor_class,
 )

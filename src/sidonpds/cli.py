@@ -197,9 +197,7 @@ _DENSITY_HEADER = f"{'N':>4} {'total':>12} {'extending':>10} {'non-extending':>1
 def _run_density(n_max, size, q_max, args, src):
     t0 = time.monotonic()
     progress = (lambda done, total: _eprint(f"  {done}/{total} sets classified")) if args.verbose else None
-    row, records = pipeline.enumerate_sidon(
-        n_max, size, q_max, source=src, jobs=args.jobs, progress=progress
-    )
+    row, records = pipeline.enumerate_sidon(n_max, size, q_max, source=src, progress=progress)
     _eprint(f"N={n_max} size={size} q_max={q_max}: {time.monotonic() - t0:.1f}s")
     path = cache.enumeration_path(n_max, size, q_max, args.data_root)
     cache.write_enumeration(records, path)
@@ -286,7 +284,6 @@ def _cmd_closure(args) -> int:
 _GLOBAL_DEFAULTS = {
     "data_root": None,
     "budget_seconds": 60.0,
-    "jobs": None,  # filled with the detected CPU count
     "check": False,
     "verbose": False,
 }
@@ -301,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--budget-seconds", type=float, default=argparse.SUPPRESS,
                         help="DFS time budget per (set, modulus); default 60")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for enumeration; default: all CPUs")
+                        help="accepted for compatibility; has no effect")
     shared.add_argument("--check", action="store_true", default=argparse.SUPPRESS,
                         help="compare results against the reference counts; exit 1 on mismatch")
     shared.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
@@ -369,8 +366,6 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    if args.jobs is None:
-        args.jobs = pipeline.default_jobs()
     try:
         return args.fn(args)
     except (cache.CacheIntegrityError, pipeline.MissingCacheError) as exc:

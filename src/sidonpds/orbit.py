@@ -32,6 +32,24 @@ inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
 can rule it out before any scan (the coset path).  An exhaustive (a, b) scan
 is kept as the oracle the tests compare the pivot scan against; the check
 itself never calls it.
+
+fast_check_many checks many sets at once, q-major: at each order it scans
+every set not yet decided, and fast_check is the batch of one.  Two kinds
+of work are shared, both only between the sets of one call at one order.
+Verdicts: translating S, reflecting it (x -> -x) and dividing it by its
+content g (the gcd of the normalized elements) when gcd(g, v) = 1 are
+affine maps with a unit multiplier mod v.  They keep "some affine image
+lies in B" and the distinctness of the differences mod v, so a set has the
+kernel's kind of its class key, the least of the normalized set divided by
+such a g and its reflection.  A g that shares a factor with v is not a unit
+and is never divided out: 3*{0,1,3,11} collides mod 57 while {0,1,3,11}
+does not.  A set whose key had no image at this order is recorded as ruled
+out without a scan.  An embedding is never shared, because its witness
+(a, b) belongs to the set: such a set runs its own scan, which returns the
+witness fast_check returns.  Tables: with a unit pivot s_j the candidate
+list for a start b0 depends only on B, s_j, the filter element x1 and b0,
+so the scan builds it once per order for every set with that pivot and
+filter.  Neither is kept across calls or orders.
 """
 
 from __future__ import annotations
@@ -161,12 +179,17 @@ def _require_order(q: int, pds: Pds) -> None:
         raise ValueError(f"q={q} does not match the order q={pds.q} of the PDS passed")
 
 
-def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) -> CheckOutcome:
+def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False,
+                      tables: dict | None = None) -> CheckOutcome:
     """Decide whether some affine image of s lies inside pds.elems in Z_v.
 
     check_all_pivots re-runs the scan on every pivot and asserts the
     verdicts agree; it exists to exercise the single-pivot completeness
     argument in tests and costs a full extra scan per pivot.
+
+    tables holds the unit-pivot candidate lists of _pivot_scan.  Calls that
+    pass the same dict must pass the same pds; fast_check_many keeps one
+    per order.  None scans with a fresh dict.
     """
     _require_order(q, pds)
     v = pds.v
@@ -175,9 +198,9 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
     # size first: a set larger than q+1 always also collides mod v, and the
     # size reason is the one that explains why
     if n > q + 1:
-        return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
+        return CheckOutcome(SKIP_SIZE, reason=_skip_reason(n, q, v))
     if not sidon_distinct_mod(s, v):
-        return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
+        return CheckOutcome(SKIP_COLLISION, reason=_skip_reason(n, q, v))
     if n == 1:
         witness = _make_witness(q, v, 1, pds.elems[0], (0,), _member_set(pds.elems))
         return CheckOutcome(EXTENDS, witness=witness)
@@ -191,7 +214,7 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
     if g > 1:
         first = coset_path(s_norm, pds, g)
     else:
-        first = _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), starts)
+        first = _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), starts, tables)
     if check_all_pivots:
         for j in range(1, n):
             other = _pivot_scan(pds, s_norm, j, starts)
@@ -203,12 +226,17 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False) ->
     return first
 
 
+def _skip_reason(n: int, q: int, v: int) -> str:
+    """Why fast_extends_at_q skips a set of n elements at q: its size first, else a collision."""
+    return f"|S|={n} > q+1={q + 1}" if n > q + 1 else f"S has collision mod {v}"
+
+
 def _best_pivot(s_norm, v: int) -> int:
     """Index of the first element with the smallest gcd with v: a unit if there is one."""
     return min(range(1, len(s_norm)), key=lambda j: gcd(s_norm[j], v))
 
 
-def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts) -> CheckOutcome:
+def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = None) -> CheckOutcome:
     """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1, b0 in starts and b1 in B.
 
     Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
@@ -221,6 +249,10 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts) -> CheckOutcome:
     starts is _scan_starts(pds) on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
     scan; b0 runs over it in order while b1 runs over all of B.
+
+    A g = 1 candidate list depends only on (B, s_j, x1, b0), so it is built
+    once into tables[(s_j, x1)][b0], the first time any set of the batch
+    needs it, and read by every later set with the same pivot and filter.
     """
     q, v, elems = pds.q, pds.v, pds.elems
     members = _member_set(elems)
@@ -232,9 +264,15 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts) -> CheckOutcome:
     # with no further element, filter on 0 itself: its image b0 is in B
     x1 = others[0] if others else 0
     rest = others[1:]
+    if g == 1:
+        per_b0 = {} if tables is None else tables.setdefault((sp, x1), {})
     for b0 in starts:
         if g == 1:
-            cands = [a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members]
+            cands = per_b0.get(b0)
+            if cands is None:
+                cands = per_b0[b0] = [
+                    a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members
+                ]
         else:
             cands = [
                 a
@@ -288,33 +326,103 @@ def fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckReport:
 
     Skipped moduli (collisions, missing cache entries, non prime powers,
     |S| > q+1) are recorded, never silently dropped: a non-extension claim
-    is only as strong as the list of moduli actually ruled out.
+    is only as strong as the list of moduli actually ruled out.  This is
+    fast_check_many on a batch of one.
     """
+    return next(fast_check_many([s], q_max, source, data_root=data_root))[1]
+
+
+def fast_check_many(sets, q_max: int, source=None, *, data_root=None):
+    """fast_check on every set, q-major: yields (index, report) in the order the sets are decided.
+
+    Each report equals fast_check's for that set, witness included.  Every
+    set is validated before any is scanned, with fast_check's ValueErrors.
+    """
+    sets = [_check_input(s, q_max) for s in sets]
+    if source is None:
+        source = PdsSource(data_root)
+    return _scan_batch(sets, q_max, source)
+
+
+def _check_input(s, q_max: int) -> tuple[int, ...]:
     s = tuple(sorted(s))
     if not is_sidon(s):
         raise ValueError(f"{s} is not a Sidon set")
-    n = len(s)
-    q_lo = max(2, n - 1)
+    q_lo = max(2, len(s) - 1)
     if q_max < q_lo:
         raise ValueError(f"q_max={q_max} below the smallest usable order {q_lo}")
-    if source is None:
-        source = PdsSource(data_root)
-    checked: list[tuple[int, int]] = []
-    skipped: list[tuple[int, str]] = []
-    for q in range(q_lo, q_max + 1):
-        if is_prime_power(q) is None:
-            skipped.append((q, "not prime power"))
-            continue
+    return s
+
+
+def _class_key(s, v: int) -> tuple[int, ...]:
+    """One representative of s under translation, reflection and division by a unit content mod v.
+
+    All three are affine maps with a unit multiplier mod v, so every set
+    with the same key has the same fast_extends_at_q kind at this v.
+    """
+    s0 = s[0]
+    t = [x - s0 for x in s]
+    g = gcd(*t)
+    if g > 1 and gcd(g, v) == 1:
+        t = [x // g for x in t]
+    top = t[-1]
+    return tuple(min(t, [top - x for x in reversed(t)]))
+
+
+def _scan_batch(sets, q_max: int, source):
+    # orders[q - 2] = (q, v, reason): reason is why no set was scanned at q,
+    # or None when the cached PDS was; an order that no set has reached yet
+    # (q < q_lo for every live set) is never read
+    orders: list[tuple[int, int, str | None]] = []
+    live = [(i, s, 0) for i, s in enumerate(sets)]  # (index, set, bit mask of skipped order indices)
+    for q in range(2, q_max + 1):
+        if not live:
+            return
         v = q * q + q + 1
+        if is_prime_power(q) is None:
+            orders.append((q, v, "not prime power"))
+            continue
+        if all(len(s) - 1 > q for _, s, _ in live):
+            orders.append((q, v, None))
+            continue
         pds = source.get(q)
         if pds is None:
-            skipped.append((q, "no cached PDS"))
+            orders.append((q, v, "no cached PDS"))
             continue
-        outcome = fast_extends_at_q(s, q, pds)
-        if outcome.kind == EXTENDS:
-            return CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
-        if outcome.kind in (SKIP_COLLISION, SKIP_SIZE):
-            skipped.append((q, outcome.reason or outcome.kind))
-            continue
-        checked.append((q, v))
-    return CheckReport(False, None, tuple(checked), tuple(skipped))
+        orders.append((q, v, None))
+        ruled_out: set[tuple[int, ...]] = set()  # class keys with NO_IMAGE at q
+        tables: dict = {}
+        still = []
+        for i, s, skips in live:
+            if len(s) - 1 <= q:
+                key = _class_key(s, v)
+                if key not in ruled_out:
+                    outcome = fast_extends_at_q(s, q, pds, tables=tables)
+                    if outcome.kind == EXTENDS:
+                        yield i, _batch_report(s, orders, skips, outcome.witness)
+                        continue
+                    if outcome.kind == NO_IMAGE:
+                        ruled_out.add(key)
+                    else:
+                        skips |= 1 << (q - 2)
+            still.append((i, s, skips))
+        live = still
+    for i, s, skips in live:
+        yield i, _batch_report(s, orders, skips, None)
+
+
+def _batch_report(s, orders, skips: int, witness: AffineWitness | None) -> CheckReport:
+    """A set's report, rebuilt from the batch's orders and the set's own skip mask."""
+    n = len(s)
+    end = len(orders) if witness is None else witness.q - 2
+    checked = []
+    skipped = []
+    for k in range(max(2, n - 1) - 2, end):
+        q, v, reason = orders[k]
+        if reason is not None:
+            skipped.append((q, reason))
+        elif skips >> k & 1:
+            skipped.append((q, _skip_reason(n, q, v)))
+        else:
+            checked.append((q, v))
+    return CheckReport(witness is not None, witness, tuple(checked), tuple(skipped))

@@ -15,7 +15,6 @@ Singer or uniqueness input at all.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -121,52 +120,42 @@ def iter_sidon_sets(n_max: int, size: int):
             yield s
 
 
+def _verdict(report: orbit.CheckReport) -> tuple[bool, int | None]:
+    return (True, report.witness.q) if report.extends else (False, None)
+
+
 def classify(s, q_max: int, source) -> tuple[bool, int | None]:
-    """Extending verdict plus the smallest witnessing q, if any."""
-    report = orbit.fast_check(s, q_max, source)
-    if report.extends:
-        return True, report.witness.q
-    return False, None
+    """Extending verdict plus the smallest witnessing q, if any.
+
+    The drivers here check their sets in batches; perfbench/tracing.py
+    still wraps this name, so it stays.
+    """
+    return _verdict(orbit.fast_check(s, q_max, source))
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(data_root):
-    _WORKER_STATE["source"] = orbit.PdsSource(data_root)
-
-
-def _worker_classify(args):
-    s, q_max = args
-    return classify(s, q_max, _WORKER_STATE["source"])
+def _classify_all(sets, q_max: int, source, progress=None) -> list[tuple[bool, int | None]]:
+    """classify on every set, as one fast_check_many batch; verdicts in input order."""
+    verdicts: list = [None] * len(sets)
+    for done, (i, report) in enumerate(orbit.fast_check_many(sets, q_max, source), 1):
+        verdicts[i] = _verdict(report)
+        if progress is not None and done % 500 == 0:
+            progress(done, len(sets))
+    return verdicts
 
 
 def enumerate_sidon(n_max: int, size: int, q_max: int, *, source=None, data_root=None,
                     jobs: int = 1, progress=None) -> tuple[DensityRow, list[EnumerationRecord]]:
     """Classify every normalized size-`size` Sidon set in [0, n_max].
 
-    Records come out in enumeration (lexicographic) order regardless of the
-    worker count, so repeated runs produce identical files.
+    Records come out in enumeration (lexicographic) order, so repeated runs
+    produce identical files.  jobs is accepted for compatibility and has no
+    effect: the sets run as one batch in this process, which measured as
+    fast as the process pool that once split them.
     """
     src = _resolve_source(source, data_root)
     require_cache(src, q_max)
     sets = list(iter_sidon_sets(n_max, size))
-    if jobs > 1 and not isinstance(src, orbit.PdsSource):
-        jobs = 1  # workers reload from disk; an in-memory source cannot fan out
-    if jobs > 1:
-        # imported here: multiprocessing roughly doubles `import sidonpds`
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(src.data_root,)
-        ) as pool:
-            verdicts = list(pool.map(_worker_classify, ((s, q_max) for s in sets), chunksize=64))
-    else:
-        verdicts = []
-        for i, s in enumerate(sets):
-            verdicts.append(classify(s, q_max, src))
-            if progress is not None and (i + 1) % 500 == 0:
-                progress(i + 1, len(sets))
+    verdicts = _classify_all(sets, q_max, src, progress)
     records = [
         EnumerationRecord(s, extends, q_witness, q_max)
         for s, (extends, q_witness) in zip(sets, verdicts)
@@ -252,15 +241,18 @@ def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source=None,
     """Fast-check all four patterns at every dilation k = 1..k_max."""
     src = _resolve_source(source, data_root)
     require_cache(src, q_max)
-    out = []
     labels = ("A", "refl(A)", "B", "refl(B)")
-    for k in range(1, k_max + 1):
-        for s, base_label in zip(family_dilations(k), labels):
-            label = base_label if k == 1 else f"{k}*{base_label}"
-            report = orbit.fast_check(s, q_max, src)
-            out.append(DilationVerdict(k, label, s, report))
-            if progress is not None:
-                progress(out[-1])
+    members = [
+        (k, base_label if k == 1 else f"{k}*{base_label}", s)
+        for k in range(1, k_max + 1)
+        for s, base_label in zip(family_dilations(k), labels)
+    ]
+    reports = dict(orbit.fast_check_many([s for _, _, s in members], q_max, src))
+    out = []
+    for i, (k, label, s) in enumerate(members):
+        out.append(DilationVerdict(k, label, s, reports[i]))
+        if progress is not None:
+            progress(out[-1])
     return out
 
 
@@ -305,13 +297,15 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
     base_report = orbit.fast_check(base, q_max, src)
     precondition_ok = not base_report.extends
     pool = [x for x in range(range_max + 1) if x not in base]
-    verdicts = []
+    sups = []
     for extra in combinations(pool, target_size - len(base)):
         sup = tuple(sorted(base + extra))
-        if max(sup) > range_max or not is_sidon(sup):
-            continue
-        extends, q_witness = classify(sup, q_max, src)
-        verdicts.append(EnumerationRecord(sup, extends, q_witness, q_max))
+        if max(sup) <= range_max and is_sidon(sup):
+            sups.append(sup)
+    verdicts = [
+        EnumerationRecord(sup, extends, q_witness, q_max)
+        for sup, (extends, q_witness) in zip(sups, _classify_all(sups, q_max, src))
+    ]
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
     return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
 
@@ -409,9 +403,10 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
         if progress is not None:
             progress(f"enumerated v={v}: {total} perfect difference sets")
     candidates = list(BASE_CANDIDATES) + (list(CONTROL_CANDIDATES) if include_controls else [])
+    method1 = dict(orbit.fast_check_many([c.elems for c in candidates], q_max_fast, src))
     verdicts = []
-    for cand in candidates:
-        m1 = orbit.fast_check(cand.elems, q_max_fast, src)
+    for i, cand in enumerate(candidates):
+        m1 = method1[i]
         crosses = []
         for v, (q, all_pds, total, orbit_ok) in sorted(enum_data.items()):
             slow = _exhaustive_extends(cand.elems, q, v, all_pds)
@@ -437,7 +432,3 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
         if progress is not None:
             progress(f"{cand.label}: non_extending={verdict.non_extending}")
     return verdicts
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

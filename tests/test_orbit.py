@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -10,17 +11,22 @@ from sidonpds.orbit import (
     NO_IMAGE,
     SKIP_COLLISION,
     SKIP_SIZE,
+    CheckReport,
     MappingSource,
+    PdsSource,
     _best_pivot,
+    _class_key,
     _pivot_scan,
     _scan_starts,
     brute_force_at_q,
     coset_path,
     fast_check,
+    fast_check_many,
     fast_extends_at_q,
     rigor_class,
 )
-from sidonpds.sidon import Pds, is_sidon, sidon_distinct_mod
+from sidonpds.pipeline import family_dilations, iter_sidon_sets
+from sidonpds.sidon import Pds, dilate, is_sidon, normalize, reflect, sidon_distinct_mod
 
 A = (0, 1, 3, 11)
 CANDIDATES = (A, (0, 1, 4, 11), (0, 8, 10, 11), (0, 7, 10, 11))
@@ -341,3 +347,163 @@ def test_rigor_classes():
     assert rigor_class(41) == "ppc"
     assert rigor_class(128) == "explicit"
     assert rigor_class(317) == "ppc"
+
+
+def _per_set_fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckReport:
+    """fast_check as a loop over one set's orders, kept as the oracle of the batch."""
+    s = tuple(sorted(s))
+    if not is_sidon(s):
+        raise ValueError(f"{s} is not a Sidon set")
+    n = len(s)
+    q_lo = max(2, n - 1)
+    if q_max < q_lo:
+        raise ValueError(f"q_max={q_max} below the smallest usable order {q_lo}")
+    if source is None:
+        source = PdsSource(data_root)
+    checked: list[tuple[int, int]] = []
+    skipped: list[tuple[int, str]] = []
+    for q in range(q_lo, q_max + 1):
+        if is_prime_power(q) is None:
+            skipped.append((q, "not prime power"))
+            continue
+        v = q * q + q + 1
+        pds = source.get(q)
+        if pds is None:
+            skipped.append((q, "no cached PDS"))
+            continue
+        outcome = fast_extends_at_q(s, q, pds)
+        if outcome.kind == EXTENDS:
+            return CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
+        if outcome.kind in (SKIP_COLLISION, SKIP_SIZE):
+            skipped.append((q, outcome.reason or outcome.kind))
+            continue
+        checked.append((q, v))
+    return CheckReport(False, None, tuple(checked), tuple(skipped))
+
+
+def _assert_batch_matches_per_set(sets, q_max, source, compare=None):
+    """Run sets as one batch and compare the reports at the indices in compare (default: all)."""
+    reports = list(fast_check_many(sets, q_max, source))
+    assert sorted(i for i, _ in reports) == list(range(len(sets)))
+    batch = dict(reports)
+    for i in range(len(sets)) if compare is None else compare:
+        assert batch[i] == _per_set_fast_check(sets[i], q_max, source), sets[i]
+    return batch
+
+
+def _closure_supersets():
+    """The 335 size-6 Sidon supersets of A in [0, 50]."""
+    pool = [x for x in range(51) if x not in A]
+    sups = [tuple(sorted(A + extra)) for extra in combinations(pool, 2)]
+    return [s for s in sups if is_sidon(s)]
+
+
+def test_batch_matches_per_set_on_the_density_row(source):
+    sets = list(iter_sidon_sets(30, 4))
+    assert len(sets) == 3254
+    batch = _assert_batch_matches_per_set(sets, 250, source)
+    assert sum(not r.extends for r in batch.values()) == 8
+
+
+def test_batch_matches_per_set_on_the_dilation_family(source):
+    family = [s for k in range(1, 11) for s in family_dilations(k)]
+    assert len(family) == 40
+    batch = _assert_batch_matches_per_set(family, 317, source)
+    assert not any(r.extends for r in batch.values())
+
+
+def test_batch_matches_per_set_on_closure_supersets(source):
+    sups = _closure_supersets()
+    assert len(sups) == 335
+    sample = random.Random(11).sample(range(len(sups)), 60)
+    _assert_batch_matches_per_set(sups, 317, source, compare=sample)
+
+
+def test_batch_matches_per_set_on_a_mixed_batch(source):
+    # orders 5, 16 and 37 missing from the source, so "no cached PDS" shows
+    missing = {5, 16, 37}
+    partial = MappingSource(
+        {q: source.get(q) for q in range(2, 65) if is_prime_power(q) and q not in missing}
+    )
+    sets = [
+        (7,), (0, 5), (4, 9), (0, 1, 3), (2, 3, 5),
+        A, reflect(A), dilate(A, 2), (0, 3, 9, 33), (0, 24, 30, 33), (0, 1, 3, 19),
+        (1, 2, 4, 8, 13), (1, 3, 9, 10, 13), reflect((1, 2, 4, 8, 13)),
+        (0, 1, 3, 7, 12, 20), (5, 6, 8, 12, 17, 25), (0, 7, 21, 63),
+    ]
+    for src in (partial, source):
+        batch = _assert_batch_matches_per_set(sets, 64, src)
+        reasons = {reason for r in batch.values() for _q, reason in r.skipped}
+        assert "not prime power" in reasons
+        assert any(reason.startswith("S has collision") for reason in reasons)
+        assert any(r.extends for r in batch.values()) and not all(r.extends for r in batch.values())
+    no_cache = {q for r in dict(fast_check_many(sets, 64, partial)).values()
+                for q, reason in r.skipped if reason == "no cached PDS"}
+    assert no_cache == missing
+
+
+def test_batch_raises_the_per_set_value_errors(source):
+    for bad, q_max in (((0, 1, 2, 4), 64), (A, 2), ((0, 1, 3, 7, 12, 20), 4)):
+        with pytest.raises(ValueError) as per_set:
+            _per_set_fast_check(bad, q_max, source)
+        # raised on the call, before any set is scanned
+        with pytest.raises(ValueError) as batch:
+            fast_check_many([(0, 1, 3), bad], q_max, source)
+        assert str(batch.value) == str(per_set.value)
+        with pytest.raises(ValueError) as single:
+            fast_check(bad, q_max, source)
+        assert str(single.value) == str(per_set.value)
+
+
+def _random_sidon_sets():
+    """Seeded Sidon sets of size 2 to 6, some dilated by a factor of a cached v."""
+    rng = random.Random(77)
+    sets = []
+    while len(sets) < 120:
+        s = tuple(sorted(rng.sample(range(60), rng.randint(2, 6))))
+        if is_sidon(s):
+            sets.append(tuple(x + rng.randrange(5) for x in dilate(s, rng.choice((1, 1, 2, 3, 7, 13)))))
+    return sets
+
+
+def test_class_key_has_the_kernel_verdict_of_its_set(source):
+    # the fact verdict sharing rests on: translating, reflecting and dividing
+    # by a content that is a unit mod v never change the kernel's kind
+    moved = divided = 0
+    for s in _random_sidon_sets():
+        for q in range(max(2, len(s) - 1), 65):
+            if is_prime_power(q) is None:
+                continue
+            pds = source.get(q)
+            key = _class_key(s, pds.v)
+            assert fast_extends_at_q(s, q, pds).kind == fast_extends_at_q(key, q, pds).kind, (s, q)
+            moved += key != normalize(s)
+            divided += max(key) < max(normalize(s))
+    assert moved > 1000 and divided > 100
+
+
+def test_class_key_keeps_a_content_that_divides_v(source):
+    # (0,3,9,33) = 3A, and 3 divides v = 57 at q = 7: 3A collides mod 57
+    # while A has no image, so dividing by 3 would share A's verdict wrongly
+    pds = source.get(7)
+    s = dilate(A, 3)
+    assert _class_key(s, 57) == s
+    assert _class_key(s, 31) == A  # q = 5: 3 is a unit mod 31
+    assert fast_extends_at_q(s, 7, pds).kind == SKIP_COLLISION
+    assert fast_extends_at_q(A, 7, pds).kind == NO_IMAGE
+    batch = dict(fast_check_many([A, s], 64, source))
+    assert (7, "S has collision mod 57") in batch[1].skipped
+    assert (7, 57) in batch[0].checked
+    assert batch[1] == _per_set_fast_check(s, 64, source)
+
+
+def test_shared_tables_keep_every_outcome(source):
+    # one table dict per order, shared by every set scanned against it
+    sets = _random_sidon_sets()
+    for q in (5, 7, 8, 9, 11, 13, 16):
+        pds = source.get(q)
+        tables = {}
+        for s in sets:
+            if len(s) <= q + 1:
+                assert fast_extends_at_q(s, q, pds, tables=tables) == fast_extends_at_q(s, q, pds), (s, q)
+        assert tables

@@ -76,13 +76,14 @@ def test_density_monotone_in_qmax(source):
 
 
 def test_parallel_enumeration_matches_serial(data_root, source):
+    # jobs is still accepted and has no effect; a data_root builds its own source
     _, serial = enumerate_sidon(12, 4, 64, source=source)
     _, parallel = enumerate_sidon(12, 4, 64, data_root=data_root, jobs=2)
     assert serial == parallel
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # enumerate_sidon imports it only for jobs > 1; the test above covers that path
+    # nothing in the package starts worker processes, so nothing imports the pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
