@@ -217,9 +217,10 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     return solutions, status, nodes
 
 
-def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> DfsRun:
-    """Search for a perfect difference set of size n in Z_v containing s mod v.
+def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
+    """Search for a perfect difference set in Z_v containing s mod v.
 
+    Its size n is fixed by v = n(n-1) + 1; any other v is a ValueError.
     Returns found (with a verified witness), exhausted (a completed search:
     no extension exists at this modulus), or timeout (no conclusion).  The
     witness is the least extension in lex order.  When the budget stops the
@@ -227,8 +228,10 @@ def find_pds_extension(s, v: int, n: int, budget: DfsBudget | None = None) -> Df
     extension met so far, which is verified and holds s mod v like any
     witness but need not be the least one.
     """
-    if n * (n - 1) != v - 1:
-        raise ValueError(f"size {n} does not match modulus {v}: need n(n-1) = v-1")
+    root = isqrt(max(4 * v - 3, 0))
+    if root * root != 4 * v - 3:
+        raise ValueError(f"modulus {v} is not n(n-1)+1 for any size n")
+    n = (root + 1) // 2
     s = tuple(s)
     if len(s) > n:
         raise ValueError(f"seed larger than target size: {len(s)} > {n}")
@@ -312,14 +315,13 @@ def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
         witness = None
         for q in range(q_lo, q_hi + 1):
             v = q * q + q + 1
-            n = q + 1
-            if len(s) > n:
+            if len(s) > q + 1:
                 runs.append(DfsRun(q, v, SKIP_SIZE, 0.0, 0, None))
                 continue
             if not sidon_distinct_mod(s, v):
                 runs.append(DfsRun(q, v, SKIP_COLLISION, 0.0, 0, None))
                 continue
-            run = find_pds_extension(s, v, n, budget)
+            run = find_pds_extension(s, v, budget)
             runs.append(run)
             if run.status == FOUND:
                 witness = run.pds

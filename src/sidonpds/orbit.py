@@ -166,33 +166,24 @@ def _scan_starts(pds: Pds) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def _make_witness(q, v, a, b, s_norm, members) -> AffineWitness:
+def _make_witness(pds: Pds, a, b, s_norm, members) -> AffineWitness:
+    v = pds.v
     image = tuple(sorted((a * s + b) % v for s in s_norm))
     # soundness: a real embedding of all of S, not a collapsed image
-    if len(image) != len(s_norm) or not _member_set(image) <= members or gcd(a, v) != 1:
+    if len(image) != len(s_norm) or not members.issuperset(image) or gcd(a, v) != 1:
         raise AssertionError("affine witness failed re-verification")
-    return AffineWitness(q, v, a % v, b % v, image)
+    return AffineWitness(pds.q, v, a % v, b % v, image)
 
 
-def _require_order(q: int, pds: Pds) -> None:
-    if q != pds.q:
-        raise ValueError(f"q={q} does not match the order q={pds.q} of the PDS passed")
+def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcome:
+    """Decide whether some affine image of s lies inside pds.elems in Z_v, v = pds.v.
 
-
-def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False,
-                      tables: dict | None = None) -> CheckOutcome:
-    """Decide whether some affine image of s lies inside pds.elems in Z_v.
-
-    check_all_pivots re-runs the scan on every pivot and asserts the
-    verdicts agree; it exists to exercise the single-pivot completeness
-    argument in tests and costs a full extra scan per pivot.
-
-    tables holds the unit-pivot candidate lists of _pivot_scan.  Calls that
-    pass the same dict must pass the same pds; fast_check_many keeps one
-    per order.  None scans with a fresh dict.
+    The order q and the modulus v are those of pds.  tables holds the
+    unit-pivot candidate lists of _pivot_scan.  Calls that pass the same
+    dict must pass the same pds; fast_check_many keeps one per order.  None
+    scans with a fresh dict.
     """
-    _require_order(q, pds)
-    v = pds.v
+    q, v = pds.q, pds.v
     s = tuple(s)
     n = len(s)
     # size first: a set larger than q+1 always also collides mod v, and the
@@ -202,7 +193,7 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False,
     if not sidon_distinct_mod(s, v):
         return CheckOutcome(SKIP_COLLISION, reason=_skip_reason(n, q, v))
     if n == 1:
-        witness = _make_witness(q, v, 1, pds.elems[0], (0,), _member_set(pds.elems))
+        witness = _make_witness(pds, 1, pds.elems[0], (0,), _member_set(pds.elems))
         return CheckOutcome(EXTENDS, witness=witness)
     s0 = s[0]
     s_norm = tuple((x - s0) % v for x in s)
@@ -210,20 +201,9 @@ def fast_extends_at_q(s, q: int, pds: Pds, *, check_all_pivots: bool = False,
     for x in s_norm:
         g = gcd(g, x)
     g = gcd(g, v)
-    starts = _scan_starts(pds)
     if g > 1:
-        first = coset_path(s_norm, pds, g)
-    else:
-        first = _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), starts, tables)
-    if check_all_pivots:
-        for j in range(1, n):
-            other = _pivot_scan(pds, s_norm, j, starts)
-            if other.kind != first.kind:
-                raise AssertionError(
-                    f"pivot disagreement at q={q}: the check says {first.kind}, "
-                    f"pivot {j} says {other.kind}"
-                )
-    return first
+        return coset_path(s_norm, pds, g)
+    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), _scan_starts(pds), tables)
 
 
 def _skip_reason(n: int, q: int, v: int) -> str:
@@ -254,7 +234,7 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = No
     once into tables[(s_j, x1)][b0], the first time any set of the batch
     needs it, and read by every later set with the same pivot and filter.
     """
-    q, v, elems = pds.q, pds.v, pds.elems
+    v, elems = pds.v, pds.elems
     members = _member_set(elems)
     sp = s_norm[j_pivot]
     g = gcd(sp, v)
@@ -283,7 +263,7 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = No
             ]
         for a in cands:
             if gcd(a, v) == 1 and all((a * x + b0) % v in members for x in rest):
-                return CheckOutcome(EXTENDS, witness=_make_witness(q, v, a, b0, s_norm, members))
+                return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
     return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
 
 
@@ -299,9 +279,8 @@ def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
     return _pivot_scan(pds, s_norm, _best_pivot(s_norm, pds.v), _scan_starts(pds))
 
 
-def brute_force_at_q(s, q: int, pds: Pds) -> CheckOutcome:
-    """Exhaustive scan over all units a and shifts b; the oracle the tests check the scan against."""
-    _require_order(q, pds)
+def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
+    """Exhaustive scan over all units a and shifts b mod pds.v; the oracle the tests check the scan against."""
     v = pds.v
     s = tuple(s)
     s0 = s[0]
@@ -317,30 +296,29 @@ def brute_force_at_q(s, q: int, pds: Pds) -> CheckOutcome:
                 if (a * x + b) % v not in members:
                     break
             else:
-                return CheckOutcome(EXTENDS, witness=_make_witness(q, v, a, b, s_norm, members))
+                return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b, s_norm, members))
     return CheckOutcome(NO_IMAGE, reason="brute force: no extension")
 
 
-def fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckReport:
+def fast_check(s, q_max: int, source) -> CheckReport:
     """Scan prime powers q up to q_max, smallest first, stopping at the first embedding.
 
-    Skipped moduli (collisions, missing cache entries, non prime powers,
-    |S| > q+1) are recorded, never silently dropped: a non-extension claim
-    is only as strong as the list of moduli actually ruled out.  This is
+    source maps q to its cached PDS (PdsSource or MappingSource).  Skipped
+    moduli (collisions, missing cache entries, non prime powers, |S| > q+1)
+    are recorded, never silently dropped: a non-extension claim is only as
+    strong as the list of moduli actually ruled out.  This is
     fast_check_many on a batch of one.
     """
-    return next(fast_check_many([s], q_max, source, data_root=data_root))[1]
+    return next(fast_check_many([s], q_max, source))[1]
 
 
-def fast_check_many(sets, q_max: int, source=None, *, data_root=None):
+def fast_check_many(sets, q_max: int, source):
     """fast_check on every set, q-major: yields (index, report) in the order the sets are decided.
 
     Each report equals fast_check's for that set, witness included.  Every
     set is validated before any is scanned, with fast_check's ValueErrors.
     """
     sets = [_check_input(s, q_max) for s in sets]
-    if source is None:
-        source = PdsSource(data_root)
     return _scan_batch(sets, q_max, source)
 
 
@@ -397,7 +375,7 @@ def _scan_batch(sets, q_max: int, source):
             if len(s) - 1 <= q:
                 key = _class_key(s, v)
                 if key not in ruled_out:
-                    outcome = fast_extends_at_q(s, q, pds, tables=tables)
+                    outcome = fast_extends_at_q(s, pds, tables=tables)
                     if outcome.kind == EXTENDS:
                         yield i, _batch_report(s, orders, skips, outcome.witness)
                         continue

@@ -39,6 +39,14 @@ class Candidate:
 _PATTERN_A = (0, 1, 3, 11)
 _PATTERN_B = (0, 1, 4, 11)
 
+# The four members of the dilation family, in the order of family_dilations.
+_FAMILY = (
+    ("A", _PATTERN_A),
+    ("refl(A)", reflect(_PATTERN_A)),
+    ("B", _PATTERN_B),
+    ("refl(B)", reflect(_PATTERN_B)),
+)
+
 BASE_CANDIDATES = (
     Candidate(_PATTERN_A, "A"),
     Candidate(_PATTERN_B, "B"),
@@ -90,10 +98,6 @@ def require_cache(source, q_max: int) -> None:
         )
 
 
-def _resolve_source(source, data_root):
-    return source if source is not None else orbit.PdsSource(data_root)
-
-
 # ---------------------------------------------------------------------------
 # Density scan.
 
@@ -143,19 +147,18 @@ def _classify_all(sets, q_max: int, source, progress=None) -> list[tuple[bool, i
     return verdicts
 
 
-def enumerate_sidon(n_max: int, size: int, q_max: int, *, source=None, data_root=None,
-                    jobs: int = 1, progress=None) -> tuple[DensityRow, list[EnumerationRecord]]:
-    """Classify every normalized size-`size` Sidon set in [0, n_max].
+def enumerate_sidon(n_max: int, size: int, q_max: int, *, source, jobs: int = 1,
+                    progress=None) -> tuple[DensityRow, list[EnumerationRecord]]:
+    """Classify every normalized size-`size` Sidon set in [0, n_max] against source's PDSs.
 
     Records come out in enumeration (lexicographic) order, so repeated runs
     produce identical files.  jobs is accepted for compatibility and has no
     effect: the sets run as one batch in this process, which measured as
     fast as the process pool that once split them.
     """
-    src = _resolve_source(source, data_root)
-    require_cache(src, q_max)
+    require_cache(source, q_max)
     sets = list(iter_sidon_sets(n_max, size))
-    verdicts = _classify_all(sets, q_max, src, progress)
+    verdicts = _classify_all(sets, q_max, source, progress)
     records = [
         EnumerationRecord(s, extends, q_witness, q_max)
         for s, (extends, q_witness) in zip(sets, verdicts)
@@ -177,12 +180,7 @@ def enumerate_sidon(n_max: int, size: int, q_max: int, *, source=None, data_root
 
 def family_dilations(k: int) -> tuple[tuple[int, ...], ...]:
     """The four size-4 patterns at dilation k: kA, refl(kA), kB, refl(kB)."""
-    return (
-        dilate(_PATTERN_A, k),
-        dilate(reflect(_PATTERN_A), k),
-        dilate(_PATTERN_B, k),
-        dilate(reflect(_PATTERN_B), k),
-    )
+    return tuple(dilate(pattern, k) for _, pattern in _FAMILY)
 
 
 def family_members(n_max: int) -> set[tuple[int, ...]]:
@@ -200,12 +198,7 @@ def matches_base_family(s) -> tuple[int, str] | None:
     if top == 0 or top % 11:
         return None
     k = top // 11
-    for pattern, label in (
-        (_PATTERN_A, "A"),
-        (reflect(_PATTERN_A), "refl(A)"),
-        (_PATTERN_B, "B"),
-        (reflect(_PATTERN_B), "refl(B)"),
-    ):
+    for label, pattern in _FAMILY:
         if ns == dilate(pattern, k):
             return k, label
     return None
@@ -236,24 +229,16 @@ class DilationVerdict:
     report: orbit.CheckReport
 
 
-def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source=None,
-                          data_root=None, progress=None) -> list[DilationVerdict]:
-    """Fast-check all four patterns at every dilation k = 1..k_max."""
-    src = _resolve_source(source, data_root)
-    require_cache(src, q_max)
-    labels = ("A", "refl(A)", "B", "refl(B)")
+def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source) -> list[DilationVerdict]:
+    """Fast-check all four patterns at every dilation k = 1..k_max against source's PDSs."""
+    require_cache(source, q_max)
     members = [
-        (k, base_label if k == 1 else f"{k}*{base_label}", s)
+        (k, label if k == 1 else f"{k}*{label}", dilate(pattern, k))
         for k in range(1, k_max + 1)
-        for s, base_label in zip(family_dilations(k), labels)
+        for label, pattern in _FAMILY
     ]
-    reports = dict(orbit.fast_check_many([s for _, _, s in members], q_max, src))
-    out = []
-    for i, (k, label, s) in enumerate(members):
-        out.append(DilationVerdict(k, label, s, reports[i]))
-        if progress is not None:
-            progress(out[-1])
-    return out
+    reports = dict(orbit.fast_check_many([s for _, _, s in members], q_max, source))
+    return [DilationVerdict(k, label, s, reports[i]) for i, (k, label, s) in enumerate(members)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +264,10 @@ class ClosureReport:
 
 
 def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317,
-                           *, source=None, data_root=None) -> ClosureReport:
+                           *, source) -> ClosureReport:
     """Check every Sidon superset of s with target_size elements inside [0, range_max].
 
+    Each set is checked against source's PDSs up to q_max.
     If no affine image of s embeds anywhere, none of its supersets can embed
     either (an embedding restricts).  An extending superset of a
     non-extending base is therefore flagged as a violation; when the base
@@ -292,9 +278,8 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
         raise ValueError(f"{base} is not a Sidon set")
     if target_size <= len(base):
         raise ValueError("target_size must exceed the base size")
-    src = _resolve_source(source, data_root)
-    require_cache(src, q_max)
-    base_report = orbit.fast_check(base, q_max, src)
+    require_cache(source, q_max)
+    base_report = orbit.fast_check(base, q_max, source)
     precondition_ok = not base_report.extends
     pool = [x for x in range(range_max + 1) if x not in base]
     sups = []
@@ -304,7 +289,7 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
             sups.append(sup)
     verdicts = [
         EnumerationRecord(sup, extends, q_witness, q_max)
-        for sup, (extends, q_witness) in zip(sups, _classify_all(sups, q_max, src))
+        for sup, (extends, q_witness) in zip(sups, _classify_all(sups, q_max, source))
     ]
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
     return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
@@ -374,43 +359,42 @@ class TripleVerdict:
 
 def _exhaustive_extends(s, q: int, v: int, all_pds) -> bool:
     for elems in all_pds:
-        out = orbit.fast_extends_at_q(s, q, Pds(q, v, elems, "enumeration"))
+        out = orbit.fast_extends_at_q(s, Pds(q, v, elems, "enumeration"))
         if out.kind == orbit.EXTENDS:
             return True
     return False
 
 
 def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
-                  budget: dfs.DfsBudget | None = None, *, source=None, data_root=None,
-                  enumeration_moduli=DEFAULT_ENUMERATION_MODULI,
-                  include_controls: bool = True, progress=None) -> list[TripleVerdict]:
-    """Run all three verification methods over the base candidates.
+                  budget: dfs.DfsBudget | None = None, *, source,
+                  progress=None) -> list[TripleVerdict]:
+    """Run all three verification methods over the base and control candidates.
 
-    Method 1: affine-orbit scan against cached Singer PDSs up to q_max_fast.
-    Method 2: at each small modulus, enumerate all PDSs outright, confirm
-    they form one affine orbit, and confirm the exhaustive embedding verdict
-    matches the Singer-only one (the uniqueness assumption carries no
-    weight at these sizes).  Method 3: seeded DFS, no Singer input at all.
+    Method 1: affine-orbit scan against source's cached Singer PDSs up to
+    q_max_fast.  Method 2: at each modulus of DEFAULT_ENUMERATION_MODULI,
+    enumerate all PDSs outright, confirm they form one affine orbit, and
+    confirm the exhaustive embedding verdict matches the Singer-only one
+    (the uniqueness assumption carries no weight at these sizes).  Method 3:
+    seeded DFS, no Singer input at all.
     """
-    src = _resolve_source(source, data_root)
-    require_cache(src, q_max_fast)
+    require_cache(source, q_max_fast)
     enum_data = {}
-    for v in enumeration_moduli:
+    for v in DEFAULT_ENUMERATION_MODULI:
         q = (isqrt(4 * v - 3) - 1) // 2
         all_pds, total = dfs.enumerate_all_pds(v)
         orbit_ok = dfs.all_in_singer_orbit(v, all_pds, singer_pds_trace(q))
         enum_data[v] = (q, all_pds, total, orbit_ok)
         if progress is not None:
             progress(f"enumerated v={v}: {total} perfect difference sets")
-    candidates = list(BASE_CANDIDATES) + (list(CONTROL_CANDIDATES) if include_controls else [])
-    method1 = dict(orbit.fast_check_many([c.elems for c in candidates], q_max_fast, src))
+    candidates = BASE_CANDIDATES + CONTROL_CANDIDATES
+    method1 = dict(orbit.fast_check_many([c.elems for c in candidates], q_max_fast, source))
     verdicts = []
     for i, cand in enumerate(candidates):
         m1 = method1[i]
         crosses = []
         for v, (q, all_pds, total, orbit_ok) in sorted(enum_data.items()):
             slow = _exhaustive_extends(cand.elems, q, v, all_pds)
-            fast_out = orbit.fast_extends_at_q(cand.elems, q, src.get(q))
+            fast_out = orbit.fast_extends_at_q(cand.elems, source.get(q))
             # a collision or size skip rules out embeddings just as a clean
             # no-image scan does; both must then agree with the full list
             fast_extends = fast_out.kind == orbit.EXTENDS

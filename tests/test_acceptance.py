@@ -152,8 +152,8 @@ def test_criterion_09_oracle_equivalence(source):
     for s in CANDIDATES:
         for q in small_qs:
             pds = source.get(q)
-            fast = orbit.fast_extends_at_q(s, q, pds)
-            brute = orbit.brute_force_at_q(s, q, pds)
+            fast = orbit.fast_extends_at_q(s, pds)
+            brute = orbit.brute_force_at_q(s, pds)
             assert (fast.kind == orbit.EXTENDS) == (brute.kind == orbit.EXTENDS), (s, q)
     compared = 0
     for s in pipeline.iter_sidon_sets(20, 4):
@@ -161,8 +161,8 @@ def test_criterion_09_oracle_equivalence(source):
             v = q * q + q + 1
             if not sidon_distinct_mod(s, v):
                 continue
-            fast = orbit.fast_extends_at_q(s, q, source.get(q))
-            out = dfs.find_pds_extension(s, v, q + 1, dfs.DfsBudget(60))
+            fast = orbit.fast_extends_at_q(s, source.get(q))
+            out = dfs.find_pds_extension(s, v, dfs.DfsBudget(60))
             assert out.status in (dfs.FOUND, dfs.EXHAUSTED)
             assert (fast.kind == orbit.EXTENDS) == (out.status == dfs.FOUND), (s, q)
             compared += 1
@@ -204,8 +204,8 @@ def test_criterion_10_invariant_suites(source):
         for q in (3, 4, 5, 7, 8, 9, 11, 13):
             pds = source.get(q)
             assert (
-                orbit.fast_extends_at_q(s, q, pds).kind
-                == orbit.fast_extends_at_q(reflect(s), q, pds).kind
+                orbit.fast_extends_at_q(s, pds).kind
+                == orbit.fast_extends_at_q(reflect(s), pds).kind
             ), (s, q)
         rep = orbit.fast_check(s, 64, source)
         rep2 = orbit.fast_check(dilate(s, 2), 64, source)

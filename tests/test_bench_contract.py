@@ -1,6 +1,8 @@
-"""Contracts with the benchmark: tracer targets and hooks, and pinned cache bytes.
+"""Contracts with the benchmark: library calls, tracer targets and hooks, and pinned cache bytes.
 
-perfbench/tracing.py lists (module, function) pairs in TARGETS and looks
+perfbench/workloads.py calls the public sidonpds functions; each call must
+still bind to the signature of the function it names, so that a signature
+change fails here and not only in a benchmark run.  perfbench/tracing.py lists (module, function) pairs in TARGETS and looks
 each one up with getattr when a traced run starts, so renaming or deleting
 one of them makes every traced benchmark run fail.  Its hooks read the
 results of the calls they wrap, so those results keep their shape.
@@ -8,8 +10,10 @@ perfbench/pins.json holds the sha256 of every cache file that
 `build-cache 317` writes.  Both files are loaded by path and only read.
 """
 
+import ast
 import hashlib
 import importlib
+import inspect
 import importlib.util
 import json
 from collections import defaultdict
@@ -23,7 +27,58 @@ from sidonpds.singer import singer_pds_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 PINS = PERFBENCH / "pins.json"
+
+
+def _workload_calls():
+    """(function, positional count, keyword names, line) for each sidonpds call in workloads.py."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules: dict[str, str] = {}  # local name -> sidonpds module
+    names: dict[str, tuple[str, str]] = {}  # local name -> (sidonpds module, attribute)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sidonpds"):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "sidonpds":
+                    modules[local] = f"sidonpds.{alias.name}"
+                else:
+                    names[local] = (node.module, alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            target = (modules[func.value.id], func.attr)
+        elif isinstance(func, ast.Name) and func.id in names:
+            target = names[func.id]
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+        assert all(k.arg is not None for k in node.keywords), node.lineno
+        calls.append((target, len(node.args), tuple(k.arg for k in node.keywords), node.lineno))
+    return calls
+
+
+def test_workloads_call_the_library_entry_points():
+    called = {f"{mod}.{attr}" for (mod, attr), *_ in _workload_calls()}
+    assert {
+        "sidonpds.pipeline.enumerate_sidon",
+        "sidonpds.orbit.fast_check",
+        "sidonpds.dfs.all_in_singer_orbit",
+        "sidonpds.dfs.independent_check",
+    } <= called
+
+
+@pytest.mark.parametrize(
+    "target, n_args, keywords",
+    [pytest.param(target, n, kw, id=f"{target[0]}.{target[1]}@{line}") for target, n, kw, line in _workload_calls()],
+)
+def test_workload_call_binds_to_the_signature(target, n_args, keywords):
+    module, attr = target
+    fn = getattr(importlib.import_module(module), attr)
+    inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
 
 
 def _tracing():
@@ -46,12 +101,12 @@ def test_tracer_target_resolves(module, name):
 def test_dfs_results_have_the_shape_the_tracer_hooks_read():
     hooks = {(m, f): hook for m, f, hook in _tracing().TARGETS}
     counters = defaultdict(float)
-    for seed, v, n, budget in [((0, 1, 3), 13, 4, None), ((0, 1, 4, 11), 57, 8, None),
-                               ((0, 1, 3, 11), 133, 12, DfsBudget(time_limit_s=60, node_limit=1))]:
-        run = find_pds_extension(seed, v, n, budget)
+    for seed, v, budget in [((0, 1, 3), 13, None), ((0, 1, 4, 11), 57, None),
+                            ((0, 1, 3, 11), 133, DfsBudget(time_limit_s=60, node_limit=1))]:
+        run = find_pds_extension(seed, v, budget)
         assert isinstance(run, DfsRun)
         assert type(run.nodes) is int and run.status in (FOUND, EXHAUSTED, TIMEOUT)
-        hooks["dfs", "find_pds_extension"](counters, (seed, v, n), {}, run, 0.0)
+        hooks["dfs", "find_pds_extension"](counters, (seed, v, budget), {}, run, 0.0)
     sols, total = enumerate_all_pds(13)
     assert type(sols) is list and total == 52
     hooks["dfs", "enumerate_all_pds"](counters, (13,), {}, (sols, total), 0.0)

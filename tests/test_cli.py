@@ -37,17 +37,22 @@ def test_singer_rejects_non_prime_power(capsys, data_root):
     assert "6 is not a prime power" in capsys.readouterr().err
 
 
+EXTENDS_0_1_3_19 = "extends: q=37 v=1407 a=1124 b=532 rigor=hall image=[249, 532, 783, 1090]\n"
+
+
 def test_check_extending_set(capsys, data_root):
     code, out, _ = run(capsys, "--data-root", data_root, "check", "0,1,3,19", "--q-max", "64")
     assert code == 0
-    assert "extends: q=37" in out
-    assert "rigor=hall" in out
+    assert out == EXTENDS_0_1_3_19
 
 
 def test_check_non_extending_set(capsys, data_root):
     code, out, _ = run(capsys, "--data-root", data_root, "check", "0,1,3,11", "--q-max", "64")
     assert code == 0
-    assert "non-extending for prime powers q <= 64" in out
+    assert out == "non-extending for prime powers q <= 64\nchecked 24 orders; skipped 38\n"
+    code, out, _ = run(capsys, "--data-root", data_root, "check", "1,2,4,8,13", "--q-max", "128")
+    assert code == 0
+    assert out == "non-extending for prime powers q <= 128\nchecked 41 orders; skipped 84\n"
 
 
 def test_check_rejects_non_sidon(capsys, data_root):
@@ -71,7 +76,7 @@ def test_unknown_command_is_usage_error(capsys):
 def test_global_flags_accepted_after_subcommand(capsys, data_root):
     code, out, _ = run(capsys, "check", "0,1,3,19", "--q-max", "64", "--data-root", data_root)
     assert code == 0
-    assert "extends: q=37" in out
+    assert out == EXTENDS_0_1_3_19
 
 
 def test_triple_verify_small_scope_check_mode(capsys, data_root):

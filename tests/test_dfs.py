@@ -278,41 +278,53 @@ def test_anchored_enumeration_rebuilds_the_list_through_zero(v, n):
 
 
 def test_find_extension_of_013_in_z13():
-    out = find_pds_extension((0, 1, 3), 13, 4)
+    out = find_pds_extension((0, 1, 3), 13)
     assert out.status == FOUND
     assert set((0, 1, 3)) <= set(out.pds)
     assert verify_pds(out.pds, 13)
 
 
 def test_full_size_seed_is_its_own_extension():
-    out = find_pds_extension((0, 1, 3), 7, 3)
+    out = find_pds_extension((0, 1, 3), 7)
     assert out.status == FOUND and out.pds == (0, 1, 3)
 
 
 def test_exhausted_for_candidate_at_small_moduli():
-    for v, q in ((31, 5), (43, 6), (57, 7)):
-        out = find_pds_extension(B, v, q + 1)
+    for v in (31, 43, 57):
+        out = find_pds_extension(B, v)
         assert out.status == EXHAUSTED, (v, out)
 
 
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        find_pds_extension((0, 1, 3), 14, 4)  # 4*3 != 13
+        find_pds_extension((0, 1, 3), 14)  # no n has n(n-1) = 13
     with pytest.raises(ValueError):
-        find_pds_extension(A, 13, 4)  # collides mod 13
+        find_pds_extension(A, 13)  # collides mod 13
     with pytest.raises(ValueError):
-        find_pds_extension((0, 1, 3, 7, 12), 13, 4)  # seed larger than target
+        find_pds_extension((0, 1, 3, 7, 12), 13)  # seed larger than the size 4
+
+
+def test_size_follows_from_the_modulus():
+    # v = n(n-1) + 1 fixes the size n; every other modulus is refused
+    sizes = {n * (n - 1) + 1: n for n in range(2, 16)}
+    for v in range(-2, 212):
+        if v in sizes:
+            out = find_pds_extension((0,), v, DfsBudget(time_limit_s=1, node_limit=1))
+            assert out.q == sizes[v] - 1 and out.status in (FOUND, TIMEOUT), v
+        else:
+            with pytest.raises(ValueError):
+                find_pds_extension((0,), v)
 
 
 def test_timeout_is_reported_not_exhausted():
-    out = find_pds_extension(A, 133, 12, DfsBudget(time_limit_s=0.005))
+    out = find_pds_extension(A, 133, DfsBudget(time_limit_s=0.005))
     assert out.status == TIMEOUT
     assert out.pds is None
 
 
 def test_node_limit_counts_as_timeout():
     # the exhaustive search of A at v = 133 takes 1,721 nodes
-    out = find_pds_extension(A, 133, 12, DfsBudget(time_limit_s=60, node_limit=1000))
+    out = find_pds_extension(A, 133, DfsBudget(time_limit_s=60, node_limit=1000))
     assert out.status == TIMEOUT
     assert out.pds is None
 
@@ -320,7 +332,7 @@ def test_node_limit_counts_as_timeout():
 def test_budget_that_stops_after_an_extension_reports_it():
     # (0, 1) at v = 133 meets its first extension between nodes 4,096 and
     # 8,192, and exhausts the tree only after 17,771 nodes
-    out = find_pds_extension((0, 1), 133, 12, DfsBudget(time_limit_s=60, node_limit=8000))
+    out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=60, node_limit=8000))
     assert out.status == FOUND
     assert out.nodes < 8000 + _TIME_CHECK_QUANTUM
     assert {0, 1} <= set(out.pds)

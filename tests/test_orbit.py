@@ -13,9 +13,9 @@ from sidonpds.orbit import (
     SKIP_SIZE,
     CheckReport,
     MappingSource,
-    PdsSource,
     _best_pivot,
     _class_key,
+    _member_set,
     _pivot_scan,
     _scan_starts,
     brute_force_at_q,
@@ -34,24 +34,24 @@ CANDIDATES = (A, (0, 1, 4, 11), (0, 8, 10, 11), (0, 7, 10, 11))
 
 def test_subset_of_own_pds_extends_identically(source):
     pds = source.get(3)
-    out = fast_extends_at_q((0, 1, 3, 9), 3, pds)
+    out = fast_extends_at_q((0, 1, 3, 9), pds)
     assert out.kind == EXTENDS
     assert (out.witness.a, out.witness.b) == (1, 0)
 
 
 def test_collision_skip_at_q3(source):
-    out = fast_extends_at_q(A, 3, source.get(3))
+    out = fast_extends_at_q(A, source.get(3))
     assert out.kind == SKIP_COLLISION
     assert "collision mod 13" in out.reason
 
 
 def test_size_skip(source):
-    out = fast_extends_at_q((0, 1, 3, 7, 12, 20), 4, source.get(4))
+    out = fast_extends_at_q((0, 1, 3, 7, 12, 20), source.get(4))
     assert out.kind == SKIP_SIZE
 
 
 def test_singleton_always_extends(source):
-    out = fast_extends_at_q((5,), 3, source.get(3))
+    out = fast_extends_at_q((5,), source.get(3))
     assert out.kind == EXTENDS
 
 
@@ -104,17 +104,17 @@ def test_missing_cache_is_recorded_not_silent():
 
 def test_brute_force_examples(source):
     fano = source.get(2)
-    assert brute_force_at_q((0, 1, 3), 2, fano).kind == EXTENDS
+    assert brute_force_at_q((0, 1, 3), fano).kind == EXTENDS
     # direct call scans despite the collision and finds nothing
-    assert brute_force_at_q(A, 3, source.get(3)).kind == NO_IMAGE
+    assert brute_force_at_q(A, source.get(3)).kind == NO_IMAGE
 
 
 def test_fast_agrees_with_brute_on_candidates_small_q(source):
     for s in CANDIDATES:
         for q in (3, 4, 5, 7, 8, 9):
             pds = source.get(q)
-            fast = fast_extends_at_q(s, q, pds)
-            brute = brute_force_at_q(s, q, pds)
+            fast = fast_extends_at_q(s, pds)
+            brute = brute_force_at_q(s, pds)
             fast_extends = fast.kind == EXTENDS
             assert fast_extends == (brute.kind == EXTENDS)
             if fast.kind == SKIP_COLLISION:
@@ -137,7 +137,7 @@ def _random_quadruple_cases():
     sets = _random_quadruples()
     cases = [(s, q) for s in sets for q in (3, 4, 5, 7, 8, 9, 11)]
     # dilations by factors of v = 21, 57, 91, 273: every pivot shares a factor
-    # with v, so check_all_pivots runs the lifted scan on each one
+    # with v, so _at_every_pivot runs the lifted scan on each one
     cases += [
         (tuple(k * x for x in s), q)
         for s in sets
@@ -149,25 +149,31 @@ def _random_quadruple_cases():
     return cases
 
 
+def _at_every_pivot(s, pds):
+    """fast_extends_at_q, with _pivot_scan re-run on every pivot: the kinds must agree.
+
+    Exercises the single-pivot completeness argument at a full extra scan per pivot.
+    """
+    out = fast_extends_at_q(s, pds)
+    if out.kind in (EXTENDS, NO_IMAGE) and len(s) > 1:
+        s_norm = tuple((x - s[0]) % pds.v for x in s)
+        for j in range(1, len(s)):
+            other = _pivot_scan(pds, s_norm, j, _scan_starts(pds))
+            assert other.kind == out.kind, (s, pds.q, j)
+    return out
+
+
 def test_fast_agrees_with_brute_on_random_quadruples(source):
     cases = _random_quadruple_cases()
     lifted = 0
     for s, q in cases:
         pds = source.get(q)
-        fast = fast_extends_at_q(s, q, pds, check_all_pivots=True)
-        brute = brute_force_at_q(s, q, pds)
+        fast = _at_every_pivot(s, pds)
+        brute = brute_force_at_q(s, pds)
         assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS), (s, q)
         if fast.kind in (EXTENDS, NO_IMAGE) and all(gcd(x - s[0], pds.v) > 1 for x in s[1:]):
             lifted += 1
     assert lifted > 100
-
-
-def test_q_must_match_the_pds(source):
-    pds = source.get(5)
-    with pytest.raises(ValueError, match="does not match"):
-        fast_extends_at_q(A, 4, pds)
-    with pytest.raises(ValueError, match="does not match"):
-        brute_force_at_q(A, 4, pds)
 
 
 # (set, q) with no unit pivot at q: jointly coprime to v = 273, 651, 1407 but
@@ -184,7 +190,7 @@ NO_UNIT_PIVOT = (
 
 
 def test_fast_path_never_calls_brute_force(source, monkeypatch):
-    oracle = {(s, q): brute_force_at_q(s, q, source.get(q)).kind for s, q in NO_UNIT_PIVOT}
+    oracle = {(s, q): brute_force_at_q(s, source.get(q)).kind for s, q in NO_UNIT_PIVOT}
     assert set(oracle.values()) == {EXTENDS, NO_IMAGE}
 
     def refuse(*args, **kwargs):
@@ -194,7 +200,7 @@ def test_fast_path_never_calls_brute_force(source, monkeypatch):
     for (s, q), expected in oracle.items():
         pds = source.get(q)
         assert all(gcd(x, pds.v) > 1 for x in s[1:]), (s, q)
-        out = fast_extends_at_q(s, q, pds)
+        out = fast_extends_at_q(s, pds)
         assert out.kind == expected, (s, q)
 
 
@@ -203,8 +209,8 @@ def test_coset_path_matches_brute_force(source):
     pds = source.get(9)
     for s in ((0, 7, 21, 63), (0, 7, 28, 42)):
         assert sidon_distinct_mod(s, 91)
-        fast = fast_extends_at_q(s, 9, pds)
-        brute = brute_force_at_q(s, 9, pds)
+        fast = fast_extends_at_q(s, pds)
+        brute = brute_force_at_q(s, pds)
         assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS)
         if fast.kind == EXTENDS:
             assert set(fast.witness.image) <= set(pds.elems)
@@ -280,8 +286,8 @@ def test_scan_starts_fall_back_to_every_b0_when_p_does_not_fix_b(source):
     kinds = set()
     for pds in unfixed + enumerated13:
         for s in _random_quadruples():
-            fast = fast_extends_at_q(s, pds.q, pds)
-            brute = brute_force_at_q(s, pds.q, pds)
+            fast = fast_extends_at_q(s, pds)
+            brute = brute_force_at_q(s, pds)
             assert (fast.kind == EXTENDS) == (brute.kind == EXTENDS), (s, pds)
             if fast.kind in (EXTENDS, NO_IMAGE):
                 assert fast.witness == _full_scan(s, pds).witness, (s, pds)
@@ -308,14 +314,14 @@ def test_orbit_starts_keep_the_full_scan_witness(source):
     extends = 0
     for s, q in _random_quadruple_cases():
         pds = source.get(q)
-        fast = fast_extends_at_q(s, q, pds)
+        fast = fast_extends_at_q(s, pds)
         if fast.kind in (EXTENDS, NO_IMAGE):
             assert fast.witness == _full_scan(s, pds).witness, (s, q)
             extends += fast.kind == EXTENDS
     assert extends > 100
     for s, q, (a, b) in NO_UNIT_PIVOT_WITNESSES:
         pds = source.get(q)
-        fast = fast_extends_at_q(s, q, pds)
+        fast = fast_extends_at_q(s, pds)
         assert fast.kind == EXTENDS, (s, q)
         assert fast.witness == _full_scan(s, pds).witness, (s, q)
         assert (fast.witness.a, fast.witness.b) == (a, b), (s, q)
@@ -327,8 +333,8 @@ def test_unit_content_does_not_take_coset_path(source):
     doubled = tuple(2 * x for x in A)
     for q in (5, 7, 8, 9, 11, 13):
         pds = source.get(q)
-        out_a = fast_extends_at_q(A, q, pds)
-        out_d = fast_extends_at_q(doubled, q, pds)
+        out_a = fast_extends_at_q(A, pds)
+        out_d = fast_extends_at_q(doubled, pds)
         assert out_a.kind == out_d.kind
 
 
@@ -349,7 +355,7 @@ def test_rigor_classes():
     assert rigor_class(317) == "ppc"
 
 
-def _per_set_fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckReport:
+def _per_set_fast_check(s, q_max: int, source) -> CheckReport:
     """fast_check as a loop over one set's orders, kept as the oracle of the batch."""
     s = tuple(sorted(s))
     if not is_sidon(s):
@@ -358,8 +364,6 @@ def _per_set_fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckR
     q_lo = max(2, n - 1)
     if q_max < q_lo:
         raise ValueError(f"q_max={q_max} below the smallest usable order {q_lo}")
-    if source is None:
-        source = PdsSource(data_root)
     checked: list[tuple[int, int]] = []
     skipped: list[tuple[int, str]] = []
     for q in range(q_lo, q_max + 1):
@@ -371,7 +375,7 @@ def _per_set_fast_check(s, q_max: int, source=None, *, data_root=None) -> CheckR
         if pds is None:
             skipped.append((q, "no cached PDS"))
             continue
-        outcome = fast_extends_at_q(s, q, pds)
+        outcome = fast_extends_at_q(s, pds)
         if outcome.kind == EXTENDS:
             return CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
         if outcome.kind in (SKIP_COLLISION, SKIP_SIZE):
@@ -476,7 +480,7 @@ def test_class_key_has_the_kernel_verdict_of_its_set(source):
                 continue
             pds = source.get(q)
             key = _class_key(s, pds.v)
-            assert fast_extends_at_q(s, q, pds).kind == fast_extends_at_q(key, q, pds).kind, (s, q)
+            assert fast_extends_at_q(s, pds).kind == fast_extends_at_q(key, pds).kind, (s, q)
             moved += key != normalize(s)
             divided += max(key) < max(normalize(s))
     assert moved > 1000 and divided > 100
@@ -489,8 +493,8 @@ def test_class_key_keeps_a_content_that_divides_v(source):
     s = dilate(A, 3)
     assert _class_key(s, 57) == s
     assert _class_key(s, 31) == A  # q = 5: 3 is a unit mod 31
-    assert fast_extends_at_q(s, 7, pds).kind == SKIP_COLLISION
-    assert fast_extends_at_q(A, 7, pds).kind == NO_IMAGE
+    assert fast_extends_at_q(s, pds).kind == SKIP_COLLISION
+    assert fast_extends_at_q(A, pds).kind == NO_IMAGE
     batch = dict(fast_check_many([A, s], 64, source))
     assert (7, "S has collision mod 57") in batch[1].skipped
     assert (7, 57) in batch[0].checked
@@ -505,5 +509,16 @@ def test_shared_tables_keep_every_outcome(source):
         tables = {}
         for s in sets:
             if len(s) <= q + 1:
-                assert fast_extends_at_q(s, q, pds, tables=tables) == fast_extends_at_q(s, q, pds), (s, q)
+                assert fast_extends_at_q(s, pds, tables=tables) == fast_extends_at_q(s, pds), (s, q)
         assert tables
+
+
+def test_witnesses_leave_the_member_cache_to_the_pds_sets(source):
+    # a witness image is checked against B without entering the cache of B's member sets
+    sets = list(iter_sidon_sets(30, 4))
+    for _ in fast_check_many(sets, 250, source):
+        pass
+    misses = _member_set.cache_info().misses
+    for _ in fast_check_many(sets, 250, source):
+        pass
+    assert _member_set.cache_info().misses == misses

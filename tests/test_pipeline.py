@@ -76,9 +76,10 @@ def test_density_monotone_in_qmax(source):
 
 
 def test_parallel_enumeration_matches_serial(data_root, source):
-    # jobs is still accepted and has no effect; a data_root builds its own source
+    # jobs is still accepted and has no effect; a fresh source over the same
+    # data root gives the same records
     _, serial = enumerate_sidon(12, 4, 64, source=source)
-    _, parallel = enumerate_sidon(12, 4, 64, data_root=data_root, jobs=2)
+    _, parallel = enumerate_sidon(12, 4, 64, source=orbit.PdsSource(data_root), jobs=2)
     assert serial == parallel
 
 
@@ -180,8 +181,8 @@ def test_reflection_verdict_symmetry(source):
         for q in (3, 4, 5, 7, 8, 9, 11, 13):
             pds = source.get(q)
             assert (
-                orbit.fast_extends_at_q(s, q, pds).kind
-                == orbit.fast_extends_at_q(r, q, pds).kind
+                orbit.fast_extends_at_q(s, pds).kind
+                == orbit.fast_extends_at_q(r, pds).kind
             ), (s, q)
 
 
@@ -206,9 +207,7 @@ def test_enumerate_requires_cache():
 
 
 def test_triple_verify_small_scope(source):
-    verdicts = triple_verify(
-        q_max_fast=64, dfs_q_lo=2, dfs_q_hi=8, source=source, enumeration_moduli=(13, 21)
-    )
+    verdicts = triple_verify(q_max_fast=64, dfs_q_lo=2, dfs_q_hi=8, source=source)
     by_label = {v.candidate.label: v for v in verdicts}
     for label in ("A", "B", "refl(A)", "refl(B)"):
         v = by_label[label]
