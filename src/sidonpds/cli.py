@@ -194,17 +194,6 @@ def _density_row_line(row: pipeline.DensityRow) -> str:
 _DENSITY_HEADER = f"{'N':>4} {'total':>12} {'extending':>10} {'non-extending':>14} {'4*fl(N/11)':>10}"
 
 
-def _run_density(n_max, size, q_max, args, src):
-    t0 = time.monotonic()
-    progress = (lambda done, total: _eprint(f"  {done}/{total} sets classified")) if args.verbose else None
-    row, records = pipeline.enumerate_sidon(n_max, size, q_max, source=src, progress=progress)
-    _eprint(f"N={n_max} size={size} q_max={q_max}: {time.monotonic() - t0:.1f}s")
-    path = cache.enumeration_path(n_max, size, q_max, args.data_root)
-    cache.write_enumeration(records, path)
-    _eprint(f"wrote {len(records)} records to {path}")
-    return row, records
-
-
 def _check_density_row(row: pipeline.DensityRow, records, failures):
     ref = pipeline.REFERENCE_DENSITY.get(row.n_max)
     if ref is None:
@@ -221,28 +210,23 @@ def _check_density_row(row: pipeline.DensityRow, records, failures):
         )
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_density(args) -> int:
+    """enumerate (one N, any size) and density-table (several N, size 4)."""
     src = _source(args)
-    row, records = _run_density(args.n_max, args.size, args.q_max, args, src)
-    if args.size == 4:
-        print(_DENSITY_HEADER)
-    print(_density_row_line(row))
+    progress = (lambda done, total: _eprint(f"  {done}/{total} sets classified")) if args.verbose else None
     failures: list[str] = []
-    if args.check and args.size == 4:
-        _check_density_row(row, records, failures)
-    for f in failures:
-        _eprint(f"MISMATCH: {f}")
-    return 1 if failures else 0
-
-
-def _cmd_density_table(args) -> int:
-    src = _source(args)
-    print(_DENSITY_HEADER)
-    failures: list[str] = []
-    for n_max in args.n_max:
-        row, records = _run_density(n_max, 4, args.q_max, args, src)
+    for i, n_max in enumerate(args.n_max):
+        t0 = time.monotonic()
+        row, records = pipeline.enumerate_sidon(n_max, args.size, args.q_max, source=src,
+                                                progress=progress)
+        _eprint(f"N={n_max} size={args.size} q_max={args.q_max}: {time.monotonic() - t0:.1f}s")
+        path = cache.enumeration_path(n_max, args.size, args.q_max, args.data_root)
+        cache.write_enumeration(records, path)
+        _eprint(f"wrote {len(records)} records to {path}")
+        if args.size == 4 and i == 0:
+            print(_DENSITY_HEADER)
         print(_density_row_line(row))
-        if args.check:
+        if args.check and args.size == 4:
             _check_density_row(row, records, failures)
     for f in failures:
         _eprint(f"MISMATCH: {f}")
@@ -341,15 +325,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[shared],
                        help="classify all normalized Sidon sets in [0, N]")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=int, nargs=1)
     p.add_argument("size", type=int)
     p.add_argument("q_max", type=int)
-    p.set_defaults(fn=_cmd_enumerate)
+    p.set_defaults(fn=_cmd_density)
 
     p = sub.add_parser("density-table", parents=[shared], help="size-4 density rows for several N")
     p.add_argument("n_max", type=int, nargs="+")
     p.add_argument("--q-max", type=int, default=250, dest="q_max")
-    p.set_defaults(fn=_cmd_density_table)
+    p.set_defaults(fn=_cmd_density, size=4)
 
     p = sub.add_parser("closure", parents=[shared], help="classify all Sidon supersets of a set")
     p.add_argument("set")

@@ -54,7 +54,6 @@ EXHAUSTED = "exhausted"
 TIMEOUT = "timeout"
 
 _TIME_CHECK_QUANTUM = 256
-_ENUMERATION_V_LIMIT = 73
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
     return DfsRun(n - 1, v, status, elapsed, nodes, None)
 
 
-def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, ...]], int]:
+def enumerate_all_pds(v: int) -> tuple[list[tuple[int, ...]], int]:
     """All perfect difference sets in Z_v containing 0, plus the total count over Z_v.
 
     The search is anchored at {0, 1}.  Difference 1 occurs exactly once in a
@@ -263,8 +262,6 @@ def enumerate_all_pds(v: int, *, force: bool = False) -> tuple[list[tuple[int, .
     q = (isqrt(4 * v - 3) - 1) // 2
     if q < 2 or q * q + q + 1 != v:
         raise ValueError(f"{v} is not of the form q^2+q+1 with q >= 2")
-    if v > _ENUMERATION_V_LIMIT and not force:
-        raise ValueError(f"v={v} above the default enumeration bound {_ENUMERATION_V_LIMIT}; pass force=True")
     n = q + 1
     anchored, _status, _nodes = _search(v, n, (0, 1), find_all=True, budget=None)
     solutions = sorted(tuple(sorted((x - b) % v for x in s)) for s in anchored for b in s)

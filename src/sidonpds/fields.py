@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 
 @dataclass(frozen=True)
@@ -25,31 +24,14 @@ class PrimePower:
     m: int
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for i in range(2, isqrt(n) + 1):
-        if n % i == 0:
-            return False
-    return True
-
-
 def is_prime_power(q: int) -> PrimePower | None:
     """Return the (unique) decomposition q = p^m, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = q
-    for i in range(2, isqrt(q) + 1):
-        if q % i == 0:
-            p = i
-            break
-    n, m = q, 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
+    factors = factorize(q)
+    if factors[0] != factors[-1]:
         return None
-    return PrimePower(q, p, m)
+    return PrimePower(q, factors[0], len(factors))
 
 
 def factorize(n: int) -> list[int]:
@@ -201,7 +183,8 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def field_ctx(p: int, degree: int) -> FieldCtx:
-    if not is_prime(p):
+    pp = is_prime_power(p)
+    if pp is None or pp.m != 1:
         raise ValueError(f"{p} is not prime")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")

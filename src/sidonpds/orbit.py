@@ -127,16 +127,6 @@ class PdsSource:
         return pds
 
 
-class MappingSource:
-    """In-memory source over a {q: Pds} mapping, mainly for tests and drivers."""
-
-    def __init__(self, mapping):
-        self._mapping = dict(mapping)
-
-    def get(self, q: int) -> Pds | None:
-        return self._mapping.get(q)
-
-
 @lru_cache(maxsize=512)
 def _member_set(elems: tuple[int, ...]) -> frozenset[int]:
     return frozenset(elems)
@@ -303,11 +293,11 @@ def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
 def fast_check(s, q_max: int, source) -> CheckReport:
     """Scan prime powers q up to q_max, smallest first, stopping at the first embedding.
 
-    source maps q to its cached PDS (PdsSource or MappingSource).  Skipped
-    moduli (collisions, missing cache entries, non prime powers, |S| > q+1)
-    are recorded, never silently dropped: a non-extension claim is only as
-    strong as the list of moduli actually ruled out.  This is
-    fast_check_many on a batch of one.
+    source.get(q) gives the cached PDS at q or None: a PdsSource, or a
+    plain {q: Pds} dict.  Skipped moduli (collisions, missing cache
+    entries, non prime powers, |S| > q+1) are recorded, never silently
+    dropped: a non-extension claim is only as strong as the list of moduli
+    actually ruled out.  This is fast_check_many on a batch of one.
     """
     return next(fast_check_many([s], q_max, source))[1]
 

@@ -23,7 +23,6 @@ from . import dfs, orbit
 from .cache import EnumerationRecord
 from .fields import is_prime_power
 from .sidon import Pds, dilate, is_sidon, normalize, reflect
-from .singer import singer_pds_trace
 
 
 @dataclass(frozen=True)
@@ -372,17 +371,18 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
 
     Method 1: affine-orbit scan against source's cached Singer PDSs up to
     q_max_fast.  Method 2: at each modulus of DEFAULT_ENUMERATION_MODULI,
-    enumerate all PDSs outright, confirm they form one affine orbit, and
-    confirm the exhaustive embedding verdict matches the Singer-only one
-    (the uniqueness assumption carries no weight at these sizes).  Method 3:
-    seeded DFS, no Singer input at all.
+    enumerate all PDSs outright, confirm they form one affine orbit of
+    source's PDS at that order, and confirm the exhaustive embedding verdict
+    matches the one from that PDS alone (the uniqueness assumption carries
+    no weight at these sizes).  Method 3: seeded DFS, no Singer input at all.
+    The cache must cover q_max_fast and every enumeration order.
     """
-    require_cache(source, q_max_fast)
+    enum_q = {v: (isqrt(4 * v - 3) - 1) // 2 for v in DEFAULT_ENUMERATION_MODULI}
+    require_cache(source, max(q_max_fast, *enum_q.values()))
     enum_data = {}
-    for v in DEFAULT_ENUMERATION_MODULI:
-        q = (isqrt(4 * v - 3) - 1) // 2
+    for v, q in enum_q.items():
         all_pds, total = dfs.enumerate_all_pds(v)
-        orbit_ok = dfs.all_in_singer_orbit(v, all_pds, singer_pds_trace(q))
+        orbit_ok = dfs.all_in_singer_orbit(v, all_pds, source.get(q))
         enum_data[v] = (q, all_pds, total, orbit_ok)
         if progress is not None:
             progress(f"enumerated v={v}: {total} perfect difference sets")

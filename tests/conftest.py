@@ -1,6 +1,6 @@
 import pytest
 
-from sidonpds import build_pds_cache
+from sidonpds.cache import build_pds_cache
 from sidonpds.orbit import PdsSource
 
 FULL_Q_MAX = 317

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sidonpds.cache import enumeration_path
+from sidonpds.cache import build_pds_cache, enumeration_path
 from sidonpds.cli import main
 
 
@@ -130,6 +130,15 @@ def test_missing_cache_names_build_command(tmp_path, capsys):
     code, _, err = run(capsys, "--data-root", str(tmp_path), "check", "0,1,3,11", "--q-max", "13")
     assert code == 1
     assert "build-cache 13" in err
+
+
+def test_triple_verify_requires_the_cache_at_its_enumeration_orders(tmp_path, capsys):
+    # method 2 reads the cached PDS at q = 3, 4, 5 and 8 (v = 13, 21, 31, 73)
+    build_pds_cache(5, tmp_path)
+    code, _, err = run(capsys, "triple-verify", "--q-max-fast", "5", "--q-hi", "5",
+                       "--data-root", str(tmp_path))
+    assert code == 1
+    assert "build-cache 8" in err
 
 
 def test_enumerate_writes_jsonl_and_is_deterministic(capsys, data_root, tmp_path, monkeypatch):

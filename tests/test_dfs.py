@@ -346,7 +346,9 @@ def test_budget_validation():
 
 @pytest.mark.parametrize(
     "v,q,expected_total",
-    [(13, 3, 52), (21, 4, 42), (31, 5, 310)],
+    # at a prime power q = p^m the total is v*phi(v)/(3m), the size of the
+    # Singer set's affine orbit: 91 * 72 / 6 = 1092 at q = 9
+    [(13, 3, 52), (21, 4, 42), (31, 5, 310), (91, 9, 1092)],
 )
 def test_enumeration_totals(v, q, expected_total):
     sols, total = enumerate_all_pds(v)
@@ -359,8 +361,6 @@ def test_enumeration_totals(v, q, expected_total):
 def test_enumeration_rejects_bad_or_oversized_modulus():
     with pytest.raises(ValueError):
         enumerate_all_pds(14)
-    with pytest.raises(ValueError):
-        enumerate_all_pds(91)  # above the default bound without force
 
 
 def test_all_pds_lie_in_singer_orbit_small():

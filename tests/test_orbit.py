@@ -12,7 +12,6 @@ from sidonpds.orbit import (
     SKIP_COLLISION,
     SKIP_SIZE,
     CheckReport,
-    MappingSource,
     _best_pivot,
     _class_key,
     _member_set,
@@ -95,7 +94,7 @@ def test_fast_check_rejects_non_sidon_and_bad_bound(source):
 
 
 def test_missing_cache_is_recorded_not_silent():
-    empty = MappingSource({})
+    empty = {}
     report = fast_check(A, 13, empty)
     assert not report.extends
     assert not report.checked
@@ -426,9 +425,7 @@ def test_batch_matches_per_set_on_closure_supersets(source):
 def test_batch_matches_per_set_on_a_mixed_batch(source):
     # orders 5, 16 and 37 missing from the source, so "no cached PDS" shows
     missing = {5, 16, 37}
-    partial = MappingSource(
-        {q: source.get(q) for q in range(2, 65) if is_prime_power(q) and q not in missing}
-    )
+    partial = {q: source.get(q) for q in range(2, 65) if is_prime_power(q) and q not in missing}
     sets = [
         (7,), (0, 5), (4, 9), (0, 1, 3), (2, 3, 5),
         A, reflect(A), dilate(A, 2), (0, 3, 9, 33), (0, 24, 30, 33), (0, 1, 3, 19),

@@ -83,16 +83,34 @@ def test_parallel_enumeration_matches_serial(data_root, source):
     assert serial == parallel
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(probe: str) -> str:
+    """stdout of probe run in a new interpreter that imports sidonpds from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_import_leaves_the_process_pool_unloaded():
-    # nothing in the package starts worker processes, so nothing imports the pool
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # nothing in the package starts worker processes, so nothing imports the
+    # pool; the CLI module imports every other module
     probe = (
-        "import sys, sidonpds; "
+        "import sys, sidonpds.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted("sidonpds" if p.stem == "__init__" else f"sidonpds.{p.stem}" for p in (SRC / "sidonpds").glob("*.py")),
+)
+def test_each_module_imports_on_its_own(module):
+    # the package imports none of its modules, so each one must import its
+    # own dependencies, in an order free of cycles
+    assert _fresh_python(f"import {module}; print('ok')").strip() == "ok"
 
 
 def test_family_members_and_matcher():
@@ -198,12 +216,12 @@ def test_dilation_verdict_stability_unit_k(source):
 
 def test_require_cache_names_the_build_command():
     with pytest.raises(MissingCacheError, match="build-cache 13"):
-        require_cache(orbit.MappingSource({}), 13)
+        require_cache({}, 13)
 
 
 def test_enumerate_requires_cache():
     with pytest.raises(MissingCacheError):
-        enumerate_sidon(10, 4, 13, source=orbit.MappingSource({}))
+        enumerate_sidon(10, 4, 13, source={})
 
 
 def test_triple_verify_small_scope(source):
