@@ -288,9 +288,9 @@ def trace_to_base(ctx: FieldCtx, sub_degree: int, a) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Linear views used by high-throughput loops: multiplication by a fixed
 # element and the subfield trace are GF(p)-linear maps on coefficient
-# vectors.  solve_left turns those maps into the coefficients of a scalar
-# recurrence and of functionals on its window, so a long scan can stream
-# one GF(p) sequence instead of running matrix-vector products.
+# vectors, so a long scan over powers of one element can run on integer
+# matrices and row vectors instead of field multiplications.  _row_reduce
+# gives the rank of a set of such vectors.
 
 
 def multiplication_matrix(ctx: FieldCtx, g) -> tuple[tuple[int, ...], ...]:
@@ -322,23 +322,6 @@ def _row_reduce(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return [tuple(r) for r in rows[:rank]]
-
-
-def solve_left(rows, targets, p: int) -> list[tuple[int, ...]]:
-    """Rows X with X H = T mod p, for a square matrix H (rows) and T (targets).
-
-    Row-reduces [H^T | T^T] with _row_reduce.  A singular H raises
-    ArithmeticError: the system then has no solution or many, and a caller
-    must never get an arbitrary one back.
-    """
-    d = len(rows)
-    if any(len(r) != d for r in rows) or any(len(t) != d for t in targets):
-        raise ValueError(f"need a square {d}x{d} matrix and targets of width {d}")
-    aug = [[rows[k][j] for k in range(d)] + [t[j] for t in targets] for j in range(d)]
-    red = _row_reduce(aug, p)
-    if [r[:d] for r in red] != [tuple(int(i == k) for k in range(d)) for i in range(d)]:
-        raise ArithmeticError(f"singular {d}x{d} system mod {p}")
-    return [tuple(red[k][d + r] for k in range(d)) for r in range(len(targets))]
 
 
 def subfield_trace_rows(ctx: FieldCtx, sub_degree: int) -> tuple[tuple[int, ...], ...]:

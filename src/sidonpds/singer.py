@@ -9,16 +9,15 @@ Singer 1938).
 
 The trace-zero scan works over the prime field.  With q = p^m, GF(q^3) is
 GF(p)^d for d = 3m, multiplication by g is a d x d matrix M, and the trace
-to GF(q) is m independent GF(p)-rows T_0..T_{m-1}.  The first trace
-coordinate u_i = T_0 M^i e (e the coefficients of 1) is a single GF(p)
-sequence, and it obeys a degree-d linear recurrence: the minimal polynomial
-of g has degree d (g generates GF(p^d)), so it is the characteristic
-polynomial of M, and by Cayley-Hamilton M^d is a fixed combination of
-M^0..M^{d-1}.  The scan streams u through a window of its last d values.
-The matrix H with rows T_0 M^k, k < d, maps the state g^i to that window,
-so the other trace rows become fixed functionals T_r H^-1 of the window;
-they are evaluated only where u_i = 0.  One left-solve mod p gives both the
-recurrence coefficients and those functionals, and a singular H raises
+to GF(q) is m independent GF(p)-rows T_0..T_{m-1}, so i is a zero exactly
+when every T_r M^i e vanishes (e the coefficients of 1).  The scan splits
+i = kL + j as in baby-step giant-step (Shanks 1971): for a block k the
+rows T_r M^{kL} are fixed, and each is a linear functional of the baby
+step M^j e, j < L.  Coordinate t of all L baby steps is packed into one
+integer with a 64-bit field per j, so one block's L dot products with a
+row are a single big-integer expression; every dot product is below
+d (p-1)^2, which fits its field, so no field carries into the next.  If
+g^0..g^{d-1} are dependent (g lies in a proper subfield) the scan raises
 instead of returning a wrong set.  The scan uses only the field GF(p^d) and
 its first primitive element, never the GF(q) tables or the coefficient
 search of the cubic recurrence below, so the two constructions stay
@@ -34,23 +33,25 @@ affine_equivalent, which searches the group (Z_v)* x Z_v directly.
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .fields import (
+    _row_reduce,
     elem_from_int,
     elem_to_int,
     factorize,
     field_ctx,
     field_mul,
+    field_pow,
     find_primitive_element,
     is_prime_power,
     multiplication_matrix,
     one,
-    solve_left,
     subfield_trace_rows,
 )
 from .sidon import Pds, verify_pds
@@ -95,33 +96,40 @@ def _trace_zero_indices(ctx, g, sub_degree: int, count: int) -> list[int]:
     """Indices i < count with trace of g^i to GF(p^sub_degree) equal to zero.
 
     Write M for multiplication by g, T_r for the independent trace rows and
-    e for the vector of one(ctx).  u_i = T_0 M^i e obeys
-    u_{i+d} = sum_k c_k u_{i+k}, because M satisfies the degree-d minimal
-    polynomial of g.  H, with rows T_0 M^k for k < d, maps the state M^i e
-    to the window (u_i, ..., u_{i+d-1}), so c solves c H = T_0 M^d and each
-    further row T_r is the functional L_r = T_r H^-1 of the window.  Both
-    come from one solve_left, which raises ArithmeticError when H is
-    singular, as it is when g lies in a proper subfield.  The window is
-    streamed; the length-count sequence is never stored.
+    e for the vector of one(ctx).  With i = kL + j, j < L, the trace rows of
+    g^i are (T_r M^{kL}) M^j e.  The L baby steps M^j e are packed by
+    coordinate, one 64-bit field per j, so a block's L dot products with a
+    row come from one sum of d big-integer products; each is at most
+    d (p-1)^2, far below 2^64, so the fields never carry.  A block keeps
+    the j where every row's dot product is 0 mod p, then each row steps by
+    the matrix of g^L.  L = max(d, isqrt(4 count) + 1) balances the L baby
+    steps against the count / L blocks.  Raises ArithmeticError when
+    g^0..g^{d-1} are dependent, as they are when g lies in a proper
+    subfield.
     """
     p = ctx.p
     d = ctx.degree
+    step = max(d, isqrt(4 * count) + 1)
     mul_rows = multiplication_matrix(ctx, g)
-    t_rows = subfield_trace_rows(ctx, sub_degree)
-    cols = tuple(zip(*mul_rows))
-    powers = [t_rows[0]]  # T_0 M^k for k = 0..d
-    for _ in range(d):
-        powers.append(tuple(sum(map(mul, powers[-1], col)) % p for col in cols))
-    h = powers[:d]
-    c, *others = solve_left(h, [powers[d], *t_rows[1:]], p)
-    e = one(ctx)
-    window = deque((sum(map(mul, row, e)) % p for row in h), maxlen=d)
-    push = window.append
+    baby = [one(ctx)]
+    for _ in range(step - 1):
+        s = baby[-1]
+        baby.append(tuple(sum(map(mul, row, s)) % p for row in mul_rows))
+    if len(_row_reduce(baby[:d], p)) < d:
+        raise ArithmeticError(f"powers of g are dependent below degree {d}: g is in a subfield")
+    order = sys.byteorder  # array items are native-endian; packing and unpacking agree
+    width = array("Q").itemsize * step
+    packs = [int.from_bytes(array("Q", coords).tobytes(), order) for coords in zip(*baby)]
+    giant_cols = tuple(zip(*multiplication_matrix(ctx, field_pow(ctx, g, step))))
+    rows = subfield_trace_rows(ctx, sub_degree)
     out = []
-    for i in range(count):
-        if window[0] == 0 and not any(sum(map(mul, row, window)) % p for row in others):
-            out.append(i)
-        push(sum(map(mul, c, window)) % p)
+    for base in range(0, count, step):
+        hits = range(min(step, count - base))
+        for row in rows:
+            dots = array("Q", sum(map(mul, row, packs)).to_bytes(width, order))
+            hits = [j for j in hits if not dots[j] % p]
+        out.extend(base + j for j in hits)
+        rows = [tuple(sum(map(mul, row, col)) % p for col in giant_cols) for row in rows]
     return out
 
 

@@ -347,8 +347,10 @@ def test_budget_validation():
 @pytest.mark.parametrize(
     "v,q,expected_total",
     # at a prime power q = p^m the total is v*phi(v)/(3m), the size of the
-    # Singer set's affine orbit: 91 * 72 / 6 = 1092 at q = 9
-    [(13, 3, 52), (21, 4, 42), (31, 5, 310), (91, 9, 1092)],
+    # Singer set's affine orbit: 91 * 72 / 6 = 1092 at q = 9; at q = 10 it is
+    # 0, since the multiplier argument rules out a cyclic plane of order 10
+    # (Gordon 1994)
+    [(13, 3, 52), (21, 4, 42), (31, 5, 310), (91, 9, 1092), (111, 10, 0)],
 )
 def test_enumeration_totals(v, q, expected_total):
     sols, total = enumerate_all_pds(v)
@@ -358,7 +360,7 @@ def test_enumeration_totals(v, q, expected_total):
     assert len(sols) * v == total * (q + 1)
 
 
-def test_enumeration_rejects_bad_or_oversized_modulus():
+def test_enumeration_rejects_a_malformed_modulus():
     with pytest.raises(ValueError):
         enumerate_all_pds(14)
 

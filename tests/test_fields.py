@@ -1,4 +1,3 @@
-import random
 from itertools import product
 
 import pytest
@@ -17,7 +16,6 @@ from sidonpds.fields import (
     multiplication_matrix,
     multiplicative_order,
     one,
-    solve_left,
     subfield_trace_rows,
     trace_to_base,
     zero,
@@ -192,51 +190,6 @@ def test_subfield_trace_rows_match_reference():
         a = elem_from_int(ctx, n)
         via_rows = all(sum(r * c for r, c in zip(row, a)) % 2 == 0 for row in rows)
         assert via_rows == (trace_to_base(ctx, 2, a) == zero(ctx))
-
-
-def _matmul(a, b, p):
-    return [tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a]
-
-
-def _random_invertible(rng, d, p):
-    # rows of L U permuted, with L unit lower triangular and U upper with nonzero diagonal
-    lower = [[1 if i == j else rng.randrange(p) if j < i else 0 for j in range(d)]
-             for i in range(d)]
-    upper = [
-        [rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0 for j in range(d)]
-        for i in range(d)
-    ]
-    perm = list(range(d))
-    rng.shuffle(perm)
-    lu = _matmul(lower, upper, p)
-    return [lu[k] for k in perm]
-
-
-@pytest.mark.parametrize("p", [2, 3, 17])
-def test_solve_left_round_trips_random_invertible_systems(p):
-    rng = random.Random(p)
-    for d in (1, 2, 3, 6, 9):
-        for _ in range(5):
-            h = _random_invertible(rng, d, p)
-            n = rng.randrange(1, 4)
-            targets = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(n)]
-            x = solve_left(h, targets, p)
-            assert _matmul(x, h, p) == targets
-
-
-@pytest.mark.parametrize("p", [2, 3, 17])
-def test_solve_left_raises_on_singular_matrix(p):
-    rng = random.Random(100 + p)
-    target = [(1,) + (0,) * 3]
-    for _ in range(5):
-        h = _random_invertible(rng, 4, p)
-        # last row a combination of the first two
-        a, b = rng.randrange(p), rng.randrange(p)
-        h[3] = tuple((a * x + b * y) % p for x, y in zip(h[0], h[1]))
-        with pytest.raises(ArithmeticError):
-            solve_left(h, target, p)
-    with pytest.raises(ArithmeticError):
-        solve_left([(0,) * 4] * 4, target, p)
 
 
 def test_big_field_construction_terminates():

@@ -95,10 +95,12 @@ def _fresh_python(probe: str) -> str:
 
 def test_import_leaves_the_process_pool_unloaded():
     # nothing in the package starts worker processes, so nothing imports the
-    # pool; the CLI module imports every other module
+    # pool; nothing imports numpy either, which would add about 12 MB of
+    # resident memory at import; the CLI module imports every other module
     probe = (
         "import sys, sidonpds.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy') "
+        "if m in sys.modules))"
     )
     assert _fresh_python(probe).strip() == "[]"
 

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -75,6 +76,17 @@ def test_trace_scan_matches_power_iteration():
     for q in qs:
         ctx, g, m, v = _trace_setup(q)
         assert _trace_zero_indices(ctx, g, m, v) == _power_iteration_trace_zeros(ctx, g, m, v), q
+
+
+def test_trace_scan_matches_power_iteration_at_every_count():
+    # every count up to 3L + 1, L the block length at v: single-block calls,
+    # partial last blocks and exact block multiples (count 18, L 9) all occur
+    for q in (2, 3, 4, 8, 9):
+        ctx, g, m, v = _trace_setup(q)
+        top = 3 * max(ctx.degree, isqrt(4 * v) + 1) + 1
+        oracle = _power_iteration_trace_zeros(ctx, g, m, top)
+        for c in range(1, top + 1):
+            assert _trace_zero_indices(ctx, g, m, c) == [i for i in oracle if i < c], (q, c)
 
 
 def test_trace_scan_matches_the_definition():
