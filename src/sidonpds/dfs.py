@@ -250,27 +250,18 @@ def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
 
 
 def enumerate_all_pds(v: int) -> tuple[list[tuple[int, ...]], int]:
-    """All perfect difference sets in Z_v containing 0, plus the total count over Z_v.
+    """One perfect difference set of Z_v per translation class, plus the total over Z_v.
 
-    The search is anchored at {0, 1}.  Difference 1 occurs exactly once in a
-    PDS, so (B, b) -> B - b is a bijection from the pairs with B containing
-    {0, 1} and b in B onto the PDSs through 0.  The list through 0 is
-    therefore n = q+1 times the anchored list, and since exactly n of the v
-    translates of a PDS pass through 0, the total over Z_v is
-    v * (count through {0, 1}) = v * (count through 0) / n.
+    Difference 1 occurs exactly once in a PDS, so each translation class has
+    exactly one member containing {0, 1}; the list is those members, sorted.
+    A PDS is fixed by no nonzero translate, so each class has exactly v
+    members and the total over Z_v is v times the length of the list.
     """
     q = (isqrt(4 * v - 3) - 1) // 2
     if q < 2 or q * q + q + 1 != v:
         raise ValueError(f"{v} is not of the form q^2+q+1 with q >= 2")
-    n = q + 1
-    anchored, _status, _nodes = _search(v, n, (0, 1), find_all=True, budget=None)
-    solutions = sorted(tuple(sorted((x - b) % v for x in s)) for s in anchored for b in s)
-    if len(set(solutions)) != len(solutions):
-        raise AssertionError("translates of the sets through {0, 1} are not distinct")
-    count0 = len(solutions)
-    if (count0 * v) % n:
-        raise AssertionError("translate counting identity violated")
-    return solutions, count0 * v // n
+    anchored, _status, _nodes = _search(v, q + 1, (0, 1), find_all=True, budget=None)
+    return anchored, v * len(anchored)
 
 
 def all_in_singer_orbit(v: int, pds_list, singer: Pds) -> bool:

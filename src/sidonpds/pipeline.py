@@ -123,27 +123,25 @@ def iter_sidon_sets(n_max: int, size: int):
             yield s
 
 
-def _verdict(report: orbit.CheckReport) -> tuple[bool, int | None]:
-    return (True, report.witness.q) if report.extends else (False, None)
-
-
 def classify(s, q_max: int, source) -> tuple[bool, int | None]:
     """Extending verdict plus the smallest witnessing q, if any.
 
     The drivers here check their sets in batches; perfbench/tracing.py
     still wraps this name, so it stays.
     """
-    return _verdict(orbit.fast_check(s, q_max, source))
+    report = orbit.fast_check(s, q_max, source)
+    return (True, report.witness.q) if report.extends else (False, None)
 
 
-def _classify_all(sets, q_max: int, source, progress=None) -> list[tuple[bool, int | None]]:
-    """classify on every set, as one fast_check_many batch; verdicts in input order."""
-    verdicts: list = [None] * len(sets)
+def _records(sets, q_max: int, source, progress=None) -> list[EnumerationRecord]:
+    """One record per set, in input order, from one fast_check_many batch."""
+    records: list = [None] * len(sets)
     for done, (i, report) in enumerate(orbit.fast_check_many(sets, q_max, source), 1):
-        verdicts[i] = _verdict(report)
+        q_witness = report.witness.q if report.extends else None
+        records[i] = EnumerationRecord(sets[i], report.extends, q_witness, q_max)
         if progress is not None and done % 500 == 0:
             progress(done, len(sets))
-    return verdicts
+    return records
 
 
 def enumerate_sidon(n_max: int, size: int, q_max: int, *, source, jobs: int = 1,
@@ -156,12 +154,7 @@ def enumerate_sidon(n_max: int, size: int, q_max: int, *, source, jobs: int = 1,
     fast as the process pool that once split them.
     """
     require_cache(source, q_max)
-    sets = list(iter_sidon_sets(n_max, size))
-    verdicts = _classify_all(sets, q_max, source, progress)
-    records = [
-        EnumerationRecord(s, extends, q_witness, q_max)
-        for s, (extends, q_witness) in zip(sets, verdicts)
-    ]
+    records = _records(list(iter_sidon_sets(n_max, size)), q_max, source, progress)
     extending = sum(1 for r in records if r.extends)
     row = DensityRow(
         n_max=n_max,
@@ -286,10 +279,7 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
         sup = tuple(sorted(base + extra))
         if max(sup) <= range_max and is_sidon(sup):
             sups.append(sup)
-    verdicts = [
-        EnumerationRecord(sup, extends, q_witness, q_max)
-        for sup, (extends, q_witness) in zip(sups, _classify_all(sups, q_max, source))
-    ]
+    verdicts = _records(sups, q_max, source)
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
     return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
 
@@ -371,11 +361,14 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
 
     Method 1: affine-orbit scan against source's cached Singer PDSs up to
     q_max_fast.  Method 2: at each modulus of DEFAULT_ENUMERATION_MODULI,
-    enumerate all PDSs outright, confirm they form one affine orbit of
-    source's PDS at that order, and confirm the exhaustive embedding verdict
-    matches the one from that PDS alone (the uniqueness assumption carries
-    no weight at these sizes).  Method 3: seeded DFS, no Singer input at all.
-    The cache must cover q_max_fast and every enumeration order.
+    enumerate one PDS per translation class outright (the total still counts
+    all of Z_v), confirm they lie in one affine orbit of source's PDS at
+    that order, and confirm the exhaustive embedding verdict matches the one
+    from that PDS alone (the uniqueness assumption carries no weight at
+    these sizes).  Both checks are invariant under translation, so one
+    member per class decides them for the whole class.  Method 3: seeded
+    DFS, no Singer input at all.  The cache must cover q_max_fast and every
+    enumeration order.
     """
     enum_q = {v: (isqrt(4 * v - 3) - 1) // 2 for v in DEFAULT_ENUMERATION_MODULI}
     require_cache(source, max(q_max_fast, *enum_q.values()))

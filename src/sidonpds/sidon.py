@@ -53,15 +53,6 @@ def is_sidon(elems) -> bool:
     return True
 
 
-def diff_signature(s) -> tuple[int, ...]:
-    """The k(k-1)/2 positive pairwise differences of a Sidon set, ascending."""
-    xs = sorted(s)
-    diffs = sorted(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
-    if len(set(diffs)) != len(diffs):
-        raise ValueError(f"{tuple(xs)} is not a Sidon set")
-    return tuple(diffs)
-
-
 def sidon_distinct_mod(s, v: int) -> bool:
     """True iff all signed pairwise differences of s are distinct and nonzero mod v."""
     if v < 2:

@@ -268,13 +268,15 @@ def test_search_rejects_a_seed_with_colliding_differences_mod_v(seed):
 @pytest.mark.parametrize("v,n", [(7, 3), (13, 4), (21, 5), (31, 6)])
 def test_anchored_enumeration_rebuilds_the_list_through_zero(v, n):
     sols, total = enumerate_all_pds(v)
+    assert all({0, 1} <= set(s) and verify_pds(s, v) for s in sols)
+    assert sols == sorted(sols)
+    # the n translates B - b through 0 of each set B through {0, 1} are
+    # distinct and make up the whole list through 0
+    rebuilt = sorted(tuple(sorted((x - b) % v for x in s)) for s in sols for b in s)
+    assert len(set(rebuilt)) == len(rebuilt)
     through0, _, _ = _pairwise_search(v, n, (0,), find_all=True, budget=None)
-    assert sols == sorted(through0)
-    assert all(0 in s and verify_pds(s, v) for s in sols)
-    assert len(set(sols)) == len(sols)
-    anchored, _, _ = _search(v, n, (0, 1), find_all=True, budget=None)
-    assert len(sols) == n * len(anchored)
-    assert total == v * len(anchored)
+    assert rebuilt == sorted(through0)
+    assert total == v * len(sols)
 
 
 def test_find_extension_of_013_in_z13():
@@ -355,9 +357,9 @@ def test_budget_validation():
 def test_enumeration_totals(v, q, expected_total):
     sols, total = enumerate_all_pds(v)
     assert total == expected_total
-    assert all(0 in s and verify_pds(s, v) for s in sols)
-    # translate counting identity, exact
-    assert len(sols) * v == total * (q + 1)
+    assert all(len(s) == q + 1 and {0, 1} <= set(s) and verify_pds(s, v) for s in sols)
+    # each translation class has v members, one of them through {0, 1}
+    assert len(sols) * v == total
 
 
 def test_enumeration_rejects_a_malformed_modulus():

@@ -267,17 +267,23 @@ def _translate(pds, t):
     return Pds(pds.q, pds.v, tuple(sorted((b + t) % pds.v for b in pds.elems)), "translate")
 
 
+def _enumerated_through_zero(q):
+    """Every PDS of Z_v through 0: the translates B - b of the enumerated sets, b in B."""
+    v = q * q + q + 1
+    through0 = {tuple(sorted((x - b) % v for x in s)) for s in enumerate_all_pds(v)[0] for b in s}
+    return [Pds(q, v, elems, "enumeration") for elems in sorted(through0)]
+
+
 def test_scan_starts_fall_back_to_every_b0_when_p_does_not_fix_b(source):
     unfixed = [_translate(source.get(q), 1) for q in (3, 4, 5, 7)]
     for q in (4, 5):
-        v = q * q + q + 1
-        unfixed += [Pds(q, v, elems, "enumeration") for elems in enumerate_all_pds(v)[0]]
+        unfixed += _enumerated_through_zero(q)
     assert len(unfixed) == 4 + 10 + 60
     for pds in unfixed:
         assert _scan_starts(pds) == pds.elems, pds
     # at v = 13 the multiplier 3 fixes 4 of the 16 sets through 0, and only
     # those lose starts
-    enumerated13 = [Pds(3, 13, elems, "enumeration") for elems in enumerate_all_pds(13)[0]]
+    enumerated13 = _enumerated_through_zero(3)
     fixed = [pds for pds in enumerated13 if {3 * b % 13 for b in pds.elems} == set(pds.elems)]
     assert len(enumerated13) == 16 and len(fixed) == 4
     for pds in enumerated13:

@@ -2,15 +2,20 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from sidonpds import orbit
+from sidonpds.dfs import enumerate_all_pds
 from sidonpds.pipeline import (
     BASE_CANDIDATES,
+    CONTROL_CANDIDATES,
+    DEFAULT_ENUMERATION_MODULI,
     Candidate,
     MissingCacheError,
+    _exhaustive_extends,
     completeness_check,
     dilation_family_check,
     enumerate_sidon,
@@ -75,12 +80,12 @@ def test_density_monotone_in_qmax(source):
     assert non250 == non317 == set(family_members(20))
 
 
-def test_parallel_enumeration_matches_serial(data_root, source):
+def test_jobs_has_no_effect_on_enumeration(data_root, source):
     # jobs is still accepted and has no effect; a fresh source over the same
     # data root gives the same records
-    _, serial = enumerate_sidon(12, 4, 64, source=source)
-    _, parallel = enumerate_sidon(12, 4, 64, source=orbit.PdsSource(data_root), jobs=2)
-    assert serial == parallel
+    _, default = enumerate_sidon(12, 4, 64, source=source)
+    _, jobs2 = enumerate_sidon(12, 4, 64, source=orbit.PdsSource(data_root), jobs=2)
+    assert default == jobs2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -237,3 +242,16 @@ def test_triple_verify_small_scope(source):
     assert not ctrl.non_extending and ctrl.method1.extends and ctrl.method3.extends
     ctrl19 = by_label["control {0,1,3,19}"]
     assert ctrl19.method1.extends and ctrl19.method1.witness.q == 37
+
+
+@pytest.mark.parametrize("v", DEFAULT_ENUMERATION_MODULI)
+def test_one_pds_per_translation_class_decides_the_exhaustive_verdict(v):
+    # method 2 sees one set per translation class; its verdict must equal the
+    # verdict over every PDS of Z_v, all v translates of each
+    q = (isqrt(4 * v - 3) - 1) // 2
+    sols, total = enumerate_all_pds(v)
+    translates = {tuple(sorted((x + t) % v for x in s)) for s in sols for t in range(v)}
+    assert len(translates) == total
+    for cand in BASE_CANDIDATES + CONTROL_CANDIDATES:
+        assert (_exhaustive_extends(cand.elems, q, v, sols)
+                == _exhaustive_extends(cand.elems, q, v, sorted(translates))), (cand.label, v)

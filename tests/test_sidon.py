@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from sidonpds.fields import is_prime_power
 from sidonpds.sidon import (
-    diff_signature,
     dilate,
     is_sidon,
     normalize,
@@ -32,17 +31,6 @@ def test_is_sidon_examples():
 
 def test_is_sidon_sorts_first():
     assert is_sidon((11, 0, 3, 1))
-
-
-def test_diff_signature_examples():
-    assert diff_signature(A) == (1, 2, 3, 8, 10, 11)
-    assert diff_signature(B) == (1, 3, 4, 7, 10, 11)
-    assert diff_signature((0, 7)) == (7,)
-
-
-def test_diff_signature_rejects_non_sidon():
-    with pytest.raises(ValueError):
-        diff_signature((0, 1, 2, 4))
 
 
 def test_sidon_distinct_mod_examples():
@@ -220,8 +208,11 @@ def test_sidon_invariant_under_affine_maps(s, k, t):
 
 
 @given(sidon_sets, st.integers(1, 9))
-def test_signature_scales_with_dilation(s, k):
-    assert diff_signature(dilate(s, k)) == tuple(k * d for d in diff_signature(s))
+def test_differences_scale_with_dilation(s, k):
+    def differences(xs):
+        return sorted(y - x for x, y in combinations(sorted(xs), 2))
+
+    assert differences(dilate(s, k)) == [k * d for d in differences(s)]
 
 
 @given(sidon_sets)

@@ -98,8 +98,9 @@ def test_trace_scan_matches_the_definition():
         assert _trace_zero_indices(ctx, g, m, v) == by_definition, q
 
 
-def test_trace_scan_rejects_a_singular_window():
-    # g = 1 makes u constant, so the rows T_0 M^k all coincide and H is singular
+def test_trace_scan_rejects_a_subfield_generator():
+    # g = 1 lies in the prime field, so g^0..g^{d-1} all equal 1 and have
+    # rank 1 < d: the scan's rank check refuses it
     for q in (2, 3, 4, 5, 9):
         ctx, _g, m, v = _trace_setup(q)
         with pytest.raises(ArithmeticError):
