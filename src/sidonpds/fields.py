@@ -3,10 +3,11 @@
 An element of GF(p^d) is a length-d tuple of residues mod p, constant
 term first, reduced modulo a fixed monic irreducible polynomial.  All
 construction choices are deterministic: the modulus is the first
-irreducible polynomial in an ascending coefficient scan, and primitive
-elements are found by an ascending scan as well, so repeated runs build
-bit-identical fields.  Fields here are small (order at most 343^3), so
-everything uses plain integer arithmetic.
+irreducible polynomial in an ascending coefficient scan, and the primitive
+element is the first in an ascending scan, so repeated runs build
+bit-identical fields.  The primitivity test reads the norm of g, the
+determinant of multiplication by g, for every prime factor of p - 1, and
+the subfield trace rows come from the Frobenius conjugates of x.
 """
 
 from __future__ import annotations
@@ -193,10 +194,6 @@ def field_ctx(p: int, degree: int) -> FieldCtx:
     return FieldCtx(p, degree, modulus, fac)
 
 
-def zero(ctx: FieldCtx) -> tuple[int, ...]:
-    return (0,) * ctx.degree
-
-
 def one(ctx: FieldCtx) -> tuple[int, ...]:
     return (1,) + (0,) * (ctx.degree - 1)
 
@@ -215,74 +212,42 @@ def elem_to_int(ctx: FieldCtx, a: tuple[int, ...]) -> int:
     return n
 
 
-def field_add(ctx: FieldCtx, a, b) -> tuple[int, ...]:
-    p = ctx.p
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
 def field_mul(ctx: FieldCtx, a, b) -> tuple[int, ...]:
     return tuple(_poly_mulmod(list(a), list(b), list(ctx.modulus), ctx.p))
 
 
 def field_pow(ctx: FieldCtx, a, e: int) -> tuple[int, ...]:
     if e < 0:
-        raise ValueError("negative exponent; use field_inv")
+        raise ValueError("negative exponent")
     return tuple(_poly_powmod(list(a), e, list(ctx.modulus), ctx.p))
-
-
-def field_inv(ctx: FieldCtx, a) -> tuple[int, ...]:
-    if a == zero(ctx):
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return field_pow(ctx, a, ctx.order - 2)
-
-
-def multiplicative_order(ctx: FieldCtx, a) -> int:
-    """Exact order of a in the multiplicative group, via the cached factorization."""
-    if a == zero(ctx):
-        raise ValueError("zero is not in the multiplicative group")
-    e = ctx.order - 1
-    for r in sorted(set(ctx.group_order_factorization)):
-        while e % r == 0 and field_pow(ctx, a, e // r) == one(ctx):
-            e //= r
-    return e
 
 
 def find_primitive_element(ctx: FieldCtx) -> tuple[int, ...]:
     """First generator of the multiplicative group in ascending encoding order.
 
     For extension fields the scan starts at the element x (encoding p): the
-    constants below it lie in the prime field and can never generate.  The
-    order test checks g^((p^d-1)/r) != 1 for every prime r dividing p^d - 1.
+    constants below it lie in the prime field and can never generate.  g
+    generates iff g^(N/r) != 1 for every prime r | N = p^d - 1.  For r | p-1,
+    N/r = (N/(p-1)) ((p-1)/r) and g^(N/(p-1)) is the norm of g, the
+    determinant of multiplication by g, so that test is Norm(g)^((p-1)/r) != 1
+    in GF(p); only the primes r that do not divide p-1 need a field power.
     """
-    n_max = ctx.order
-    group = n_max - 1
+    p = ctx.p
+    group = ctx.order - 1
     primes = sorted(set(ctx.group_order_factorization))
-    start = ctx.p if ctx.degree > 1 else 1
+    by_norm = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    by_power = [group // r for r in primes if (p - 1) % r]
+    start = p if ctx.degree > 1 else 1
     unit = one(ctx)
-    for n in range(start, n_max):
+    for n in range(start, ctx.order):
         g = elem_from_int(ctx, n)
-        if all(field_pow(ctx, g, group // r) != unit for r in primes):
+        if by_norm:
+            norm = _det_mod(multiplication_matrix(ctx, g), p)
+            if any(pow(norm, e, p) == 1 for e in by_norm):
+                continue
+        if all(field_pow(ctx, g, e) != unit for e in by_power):
             return g
-    raise ArithmeticError(f"no primitive element found in GF({ctx.p}^{ctx.degree})")
-
-
-def trace_to_base(ctx: FieldCtx, sub_degree: int, a) -> tuple[int, ...]:
-    """Trace of a down to the subfield GF(p^sub_degree): sum of a^(q^i), q = p^sub_degree.
-
-    The result is checked to be fixed by the q-power Frobenius, i.e. it lies
-    in the subfield.
-    """
-    if sub_degree < 1 or ctx.degree % sub_degree != 0:
-        raise ValueError(f"sub_degree {sub_degree} does not divide degree {ctx.degree}")
-    q = ctx.p**sub_degree
-    acc = a
-    cur = a
-    for _ in range(ctx.degree // sub_degree - 1):
-        cur = field_pow(ctx, cur, q)
-        acc = field_add(ctx, acc, cur)
-    if field_pow(ctx, acc, q) != acc:
-        raise ArithmeticError("trace result not fixed by the subfield Frobenius")
-    return acc
+    raise ArithmeticError(f"no primitive element found in GF({p}^{ctx.degree})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +255,8 @@ def trace_to_base(ctx: FieldCtx, sub_degree: int, a) -> tuple[int, ...]:
 # element and the subfield trace are GF(p)-linear maps on coefficient
 # vectors, so a long scan over powers of one element can run on integer
 # matrices and row vectors instead of field multiplications.  _row_reduce
-# gives the rank of a set of such vectors.
+# gives the rank of a set of such vectors, _det_mod the determinant of a
+# multiplication matrix, which is the norm of its element.
 
 
 def multiplication_matrix(ctx: FieldCtx, g) -> tuple[tuple[int, ...], ...]:
@@ -324,12 +290,44 @@ def _row_reduce(rows: list[list[int]], p: int) -> list[tuple[int, ...]]:
     return [tuple(r) for r in rows[:rank]]
 
 
+def _det_mod(rows, p: int) -> int:
+    """Determinant mod p of a square matrix, by elimination over GF(p)."""
+    rows, det = [list(r) for r in rows], 1
+    for c in range(len(rows)):
+        sel = next((r for r in range(c, len(rows)) if rows[r][c] % p), None)
+        if sel is None:
+            return 0
+        rows[c], rows[sel] = rows[sel], rows[c]
+        det = det * rows[c][c] * (-1 if sel != c else 1) % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return det
+
+
 def subfield_trace_rows(ctx: FieldCtx, sub_degree: int) -> tuple[tuple[int, ...], ...]:
-    """Independent rows T with: trace of a to GF(p^sub_degree) is zero iff T a = 0."""
+    """Independent rows T with: trace of a to GF(p^sub_degree) is zero iff T a = 0.
+
+    Column j of the trace map is Tr(x^j) = sum over i < d/sub_degree of
+    (x^(q^i))^j, q = p^sub_degree, so each conjugate x^(q^i) is raised once
+    and then multiplied up.  The trace onto GF(q) is onto, so the rows must
+    have rank exactly sub_degree; anything else raises ArithmeticError.
+    """
     d = ctx.degree
+    p = ctx.p
+    if sub_degree < 1 or d % sub_degree:
+        raise ValueError(f"sub_degree {sub_degree} does not divide degree {d}")
+    mod = list(ctx.modulus)
+    conjugates = [_poly_rem([0, 1], mod, p)]
+    for _ in range(d // sub_degree - 1):
+        conjugates.append(_poly_powmod(conjugates[-1], p**sub_degree, mod, p))
+    powers = [list(one(ctx)) for _ in conjugates]
     cols = []
-    for j in range(d):
-        basis = tuple(1 if i == j else 0 for i in range(d))
-        cols.append(trace_to_base(ctx, sub_degree, basis))
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return tuple(_row_reduce(rows, ctx.p))
+    for _ in range(d):
+        cols.append([sum(c) % p for c in zip(*powers)])
+        powers = [_poly_mulmod(a, b, mod, p) for a, b in zip(powers, conjugates)]
+    rows = _row_reduce(list(zip(*cols)), p)
+    if len(rows) != sub_degree:
+        raise ArithmeticError(f"trace rows have rank {len(rows)}, not {sub_degree}")
+    return tuple(rows)

@@ -8,20 +8,13 @@ hence a perfect difference set of size q+1 (the trace-zero construction;
 Singer 1938).
 
 The trace-zero scan works over the prime field.  With q = p^m, GF(q^3) is
-GF(p)^d for d = 3m, multiplication by g is a d x d matrix M, and the trace
-to GF(q) is m independent GF(p)-rows T_0..T_{m-1}, so i is a zero exactly
-when every T_r M^i e vanishes (e the coefficients of 1).  The scan splits
-i = kL + j as in baby-step giant-step (Shanks 1971): for a block k the
-rows T_r M^{kL} are fixed, and each is a linear functional of the baby
-step M^j e, j < L.  Coordinate t of all L baby steps is packed into one
-integer with a 64-bit field per j, so one block's L dot products with a
-row are a single big-integer expression; every dot product is below
-d (p-1)^2, which fits its field, so no field carries into the next.  If
-g^0..g^{d-1} are dependent (g lies in a proper subfield) the scan raises
-instead of returning a wrong set.  The scan uses only the field GF(p^d) and
-its first primitive element, never the GF(q) tables or the coefficient
-search of the cubic recurrence below, so the two constructions stay
-independent.
+GF(p)^d for d = 3m and the trace to GF(q) is m independent GF(p)-rows, so
+i is a zero exactly when every row vanishes on g^i.  The scan packs the
+powers of g into big integers, one fixed-width field per power, tests
+every field for zero mod p at once and reads out only the q+1 hits; no
+Python loop visits each index.  It uses only GF(p^d) and its first
+primitive element, never the GF(q) tables or the coefficient search of
+the cubic recurrence below, so the two constructions stay independent.
 
 The cross-check construction runs a degree-3 linear recurrence over GF(q)
 whose characteristic polynomial is primitive: over one full period q^3 - 1
@@ -36,9 +29,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt
-from operator import mul
+from operator import and_, mul
 
 from .fields import (
     _row_reduce,
@@ -92,44 +85,95 @@ def singer_pds_trace(q: int) -> Pds:
     return Pds(q, v, elems, METHOD_TRACE)
 
 
+class _Lanes:
+    """Fields of one big integer, each holding a dot product of length-d vectors mod p.
+
+    A field holds at most top = d (p-1)^2.  With 2^k > top p and
+    mult = ceil(2^k / p), (x mult) >> k equals x // p for every x <= top
+    (Barrett reduction: the error x (mult p - 2^k) / 2^k stays below 1), so
+    one packed expression reduces every field mod p.  A field must hold
+    top mult; the narrowest array item that does is taken, and
+    OverflowError is raised when 64 bits are too few, since fields would
+    then carry into each other.  A residue r < p < 2^(bits-1) leaves the top
+    bit clear, so adding 2^(bits-1) - 1 sets it exactly when r != 0.
+    """
+
+    def __init__(self, p: int, d: int):
+        top = d * (p - 1) ** 2
+        self.p, self.k = p, (top * p).bit_length()
+        self.mult = -(-(1 << self.k) // p)
+        need = max((top * self.mult).bit_length(), self.k + 1)
+        self.code = next((c for c in "BHIQ" if 8 * array(c).itemsize >= need), None)
+        if self.code is None:
+            raise OverflowError(f"dot products mod {p} of length {d} need {need}-bit fields")
+        self.bits = 8 * array(self.code).itemsize
+
+    def pack(self, values) -> int:  # native-endian items, packed and unpacked alike
+        return int.from_bytes(array(self.code, values).tobytes(), sys.byteorder)
+
+    def unpack(self, n: int, packed: int) -> array:
+        return array(self.code, packed.to_bytes(self.bits // 8 * n, sys.byteorder))
+
+    def residues(self, n: int):
+        """Map n packed values <= top to their residues mod p."""
+        keep = self.pack([(1 << (self.bits - self.k)) - 1] * n)
+        p, k, mult = self.p, self.k, self.mult
+        return lambda acc: acc - (((acc * mult) >> k) & keep) * p
+
+    def zero_flags(self, n: int):
+        """Map n packed values <= top to the top bit of each field that is 0 mod p."""
+        residues, half = self.residues(n), 1 << (self.bits - 1)
+        low, high = self.pack([half - 1] * n), self.pack([half] * n)
+        return lambda acc: ((residues(acc) + low) & high) ^ high
+
+
 def _trace_zero_indices(ctx, g, sub_degree: int, count: int) -> list[int]:
     """Indices i < count with trace of g^i to GF(p^sub_degree) equal to zero.
 
-    Write M for multiplication by g, T_r for the independent trace rows and
-    e for the vector of one(ctx).  With i = kL + j, j < L, the trace rows of
-    g^i are (T_r M^{kL}) M^j e.  The L baby steps M^j e are packed by
-    coordinate, one 64-bit field per j, so a block's L dot products with a
-    row come from one sum of d big-integer products; each is at most
-    d (p-1)^2, far below 2^64, so the fields never carry.  A block keeps
-    the j where every row's dot product is 0 mod p, then each row steps by
-    the matrix of g^L.  L = max(d, isqrt(4 count) + 1) balances the L baby
-    steps against the count / L blocks.  Raises ArithmeticError when
+    Write M for multiplication by g, T_r for the m = sub_degree trace rows
+    and e for the vector of one(ctx).  With i = kL + j, j < L (baby-step
+    giant-step; Shanks 1971), the trace rows of g^i are (T_r M^{kL}) M^j e.
+    Coordinate t of the baby steps M^j e is packed into one integer, a
+    _Lanes field per j, built by doubling: steps n..2n-1 are the steps
+    below n times the matrix of g^n.  A block's L dot products with a row
+    are one sum of d big-integer products, reduced mod p in every field at
+    once; ANDing the rows' zero flags leaves set bits only at the hits.
+    The rows are packed per coordinate too, so stepping them by the matrix
+    of g^L costs d^2 small products.  The packed work per index does not
+    depend on L, so L = max(d, isqrt(16 count) + 1) only trades the
+    doubling against per-block setup.  Raises ArithmeticError when
     g^0..g^{d-1} are dependent, as they are when g lies in a proper
     subfield.
     """
     p = ctx.p
     d = ctx.degree
-    step = max(d, isqrt(4 * count) + 1)
-    mul_rows = multiplication_matrix(ctx, g)
-    baby = [one(ctx)]
-    for _ in range(step - 1):
-        s = baby[-1]
-        baby.append(tuple(sum(map(mul, row, s)) % p for row in mul_rows))
-    if len(_row_reduce(baby[:d], p)) < d:
+    lanes = _Lanes(p, d)
+    bits = lanes.bits
+    step = max(d, isqrt(16 * count) + 1)
+    packs = list(one(ctx))  # coordinate t of g^j for j < n
+    n, jump = 1, g
+    while n < step:
+        residues = lanes.residues(n)
+        upper = [residues(sum(map(mul, row, packs))) for row in multiplication_matrix(ctx, jump)]
+        packs = [lo | hi << (bits * n) for lo, hi in zip(packs, upper)]
+        n, jump = 2 * n, field_mul(ctx, jump, jump)
+    packs = [x & ((1 << (bits * step)) - 1) for x in packs]
+    if len(_row_reduce([list(lanes.unpack(step, x)[:d]) for x in packs], p)) < d:
         raise ArithmeticError(f"powers of g are dependent below degree {d}: g is in a subfield")
-    order = sys.byteorder  # array items are native-endian; packing and unpacking agree
-    width = array("Q").itemsize * step
-    packs = [int.from_bytes(array("Q", coords).tobytes(), order) for coords in zip(*baby)]
+    zero_flags = lanes.zero_flags(step)
+    reduce_rows = lanes.residues(sub_degree)
     giant_cols = tuple(zip(*multiplication_matrix(ctx, field_pow(ctx, g, step))))
-    rows = subfield_trace_rows(ctx, sub_degree)
+    cols = [lanes.pack(col) for col in zip(*subfield_trace_rows(ctx, sub_degree))]
     out = []
     for base in range(0, count, step):
-        hits = range(min(step, count - base))
-        for row in rows:
-            dots = array("Q", sum(map(mul, row, packs)).to_bytes(width, order))
-            hits = [j for j in hits if not dots[j] % p]
-        out.extend(base + j for j in hits)
-        rows = [tuple(sum(map(mul, row, col)) % p for col in giant_cols) for row in rows]
+        rows = zip(*(lanes.unpack(sub_degree, c) for c in cols))
+        zeros = reduce(and_, (zero_flags(sum(map(mul, row, packs))) for row in rows))
+        zeros &= (1 << (bits * min(step, count - base))) - 1
+        while zeros:
+            hit = zeros & -zeros
+            out.append(base + (hit.bit_length() - 1) // bits)
+            zeros ^= hit
+        cols = [reduce_rows(sum(map(mul, cols, col))) for col in giant_cols]
     return out
 
 

@@ -1,25 +1,107 @@
+import random
 from itertools import product
 
 import pytest
 
 from sidonpds.fields import (
+    _det_mod,
+    _row_reduce,
     elem_from_int,
     elem_to_int,
     factorize,
-    field_add,
     field_ctx,
-    field_inv,
     field_mul,
     field_pow,
     find_primitive_element,
     is_prime_power,
     multiplication_matrix,
-    multiplicative_order,
     one,
     subfield_trace_rows,
-    trace_to_base,
-    zero,
 )
+
+# Every field the Singer builds use: GF(q^3) = GF(p^(3m)) for q = p^m <= 317.
+SINGER_FIELDS = [(pp.p, 3 * pp.m) for pp in filter(None, map(is_prime_power, range(2, 318)))]
+SMALL_FIELDS = [(2, 1), (7, 1), (2, 3), (5, 2), (13, 3)]
+ALL_FIELDS = sorted(set(SMALL_FIELDS + SINGER_FIELDS))
+
+
+# Oracles: the field operations and searches the library used before the
+# norm test and the Frobenius trace rows, kept here to check the shortcuts.
+
+
+def zero(ctx):
+    return (0,) * ctx.degree
+
+
+def field_add(ctx, a, b):
+    p = ctx.p
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def field_inv(ctx, a):
+    if a == zero(ctx):
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    return field_pow(ctx, a, ctx.order - 2)
+
+
+def multiplicative_order(ctx, a) -> int:
+    """Exact order of a in the multiplicative group, via the cached factorization."""
+    if a == zero(ctx):
+        raise ValueError("zero is not in the multiplicative group")
+    e = ctx.order - 1
+    for r in sorted(set(ctx.group_order_factorization)):
+        while e % r == 0 and field_pow(ctx, a, e // r) == one(ctx):
+            e //= r
+    return e
+
+
+def trace_to_base(ctx, sub_degree: int, a):
+    """Trace of a down to the subfield GF(p^sub_degree): sum of a^(q^i), q = p^sub_degree.
+
+    The result is checked to be fixed by the q-power Frobenius, i.e. it lies
+    in the subfield.
+    """
+    if sub_degree < 1 or ctx.degree % sub_degree != 0:
+        raise ValueError(f"sub_degree {sub_degree} does not divide degree {ctx.degree}")
+    q = ctx.p**sub_degree
+    acc = a
+    cur = a
+    for _ in range(ctx.degree // sub_degree - 1):
+        cur = field_pow(ctx, cur, q)
+        acc = field_add(ctx, acc, cur)
+    if field_pow(ctx, acc, q) != acc:
+        raise ArithmeticError("trace result not fixed by the subfield Frobenius")
+    return acc
+
+
+def _powering_primitive_element(ctx):
+    """First generator of the multiplicative group in ascending encoding order.
+
+    For extension fields the scan starts at the element x (encoding p): the
+    constants below it lie in the prime field and can never generate.  The
+    order test checks g^((p^d-1)/r) != 1 for every prime r dividing p^d - 1.
+    """
+    n_max = ctx.order
+    group = n_max - 1
+    primes = sorted(set(ctx.group_order_factorization))
+    start = ctx.p if ctx.degree > 1 else 1
+    unit = one(ctx)
+    for n in range(start, n_max):
+        g = elem_from_int(ctx, n)
+        if all(field_pow(ctx, g, group // r) != unit for r in primes):
+            return g
+    raise ArithmeticError(f"no primitive element found in GF({ctx.p}^{ctx.degree})")
+
+
+def _trace_rows_by_powering(ctx, sub_degree):
+    """Independent rows T with: trace of a to GF(p^sub_degree) is zero iff T a = 0."""
+    d = ctx.degree
+    cols = []
+    for j in range(d):
+        basis = tuple(1 if i == j else 0 for i in range(d))
+        cols.append(trace_to_base(ctx, sub_degree, basis))
+    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
+    return tuple(_row_reduce(rows, ctx.p))
 
 
 def test_is_prime_power_basic():
@@ -203,3 +285,44 @@ def test_encoding_roundtrip():
     ctx = field_ctx(5, 3)
     for n in range(0, 125, 7):
         assert elem_to_int(ctx, elem_from_int(ctx, n)) == n
+
+
+@pytest.mark.parametrize("p,d", ALL_FIELDS)
+def test_norm_test_finds_the_powering_generator(p, d):
+    ctx = field_ctx(p, d)
+    assert find_primitive_element(ctx) == _powering_primitive_element(ctx)
+
+
+def test_norm_is_the_determinant_of_multiplication():
+    # Norm(a) = a^((p^d-1)/(p-1)) lies in GF(p) and equals det of a*; the
+    # norm test in find_primitive_element relies on this identity
+    rng = random.Random(1601)
+    for p, d in ALL_FIELDS:
+        ctx = field_ctx(p, d)
+        for _ in range(3):
+            a = elem_from_int(ctx, rng.randrange(1, ctx.order))
+            norm = field_pow(ctx, a, (ctx.order - 1) // (p - 1))
+            assert norm == elem_from_int(ctx, _det_mod(multiplication_matrix(ctx, a), p)), (p, d, a)
+
+
+def test_det_of_singular_and_permuted_matrices():
+    assert _det_mod([[1, 2], [2, 4]], 7) == 0
+    assert _det_mod([[0, 1], [1, 0]], 7) == 6  # one row swap: -1
+    assert _det_mod([[0, 0, 3], [0, 2, 0], [5, 0, 0]], 11) == (-30) % 11
+
+
+def test_frobenius_trace_rows_match_the_powering_rows():
+    for p, d in SINGER_FIELDS:
+        ctx = field_ctx(p, d)
+        assert subfield_trace_rows(ctx, d // 3) == _trace_rows_by_powering(ctx, d // 3), (p, d)
+
+
+def test_trace_rows_over_every_subfield():
+    for p, d in [(2, 6), (3, 4), (2, 12), (5, 3), (7, 1)]:
+        ctx = field_ctx(p, d)
+        for m in range(1, d + 1):
+            if d % m == 0:
+                rows = subfield_trace_rows(ctx, m)
+                assert len(rows) == m and rows == _trace_rows_by_powering(ctx, m), (p, d, m)
+    with pytest.raises(ValueError):
+        subfield_trace_rows(field_ctx(2, 6), 4)

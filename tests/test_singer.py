@@ -11,8 +11,6 @@ from sidonpds.fields import (
     multiplication_matrix,
     one,
     subfield_trace_rows,
-    trace_to_base,
-    zero,
 )
 from sidonpds.sidon import verify_pds
 from sidonpds.singer import (
@@ -20,6 +18,7 @@ from sidonpds.singer import (
     METHOD_TRACE,
     InvalidCoefficientsError,
     RecurrenceCoeffs,
+    _Lanes,
     _trace_zero_indices,
     affine_equivalent,
     find_primitive_coeffs,
@@ -80,22 +79,50 @@ def test_trace_scan_matches_power_iteration():
 
 def test_trace_scan_matches_power_iteration_at_every_count():
     # every count up to 3L + 1, L the block length at v: single-block calls,
-    # partial last blocks and exact block multiples (count 18, L 9) all occur
-    for q in (2, 3, 4, 8, 9):
+    # partial last blocks and exact block multiples (count 66, L 33) all occur
+    for q in (2, 3, 4, 8, 9, 25, 27, 31):
         ctx, g, m, v = _trace_setup(q)
-        top = 3 * max(ctx.degree, isqrt(4 * v) + 1) + 1
+        top = 3 * max(ctx.degree, isqrt(16 * v) + 1) + 1
         oracle = _power_iteration_trace_zeros(ctx, g, m, top)
         for c in range(1, top + 1):
             assert _trace_zero_indices(ctx, g, m, c) == [i for i in oracle if i < c], (q, c)
 
 
+def _trace(ctx, m, a):
+    """Trace of a from GF(q^3) to GF(q), q = p^m, by its definition a + a^q + a^(q^2)."""
+    q = ctx.p**m
+    conjugates = (a, field_pow(ctx, a, q), field_pow(ctx, a, q * q))
+    return tuple(sum(c) % ctx.p for c in zip(*conjugates))
+
+
 def test_trace_scan_matches_the_definition():
     for q in (2, 3, 4, 5, 7, 8, 9):
         ctx, g, m, v = _trace_setup(q)
-        by_definition = [
-            i for i in range(v) if trace_to_base(ctx, m, field_pow(ctx, g, i)) == zero(ctx)
-        ]
+        by_definition = [i for i in range(v) if not any(_trace(ctx, m, field_pow(ctx, g, i)))]
         assert _trace_zero_indices(ctx, g, m, v) == by_definition, q
+
+
+@pytest.mark.parametrize("p,d", [(2, 24), (17, 6), (317, 3)])
+def test_packed_reduction_is_exact_for_every_dot_product(p, d):
+    # every value a field can hold, 0..d(p-1)^2, one per field
+    lanes = _Lanes(p, d)
+    xs = range(d * (p - 1) ** 2 + 1)
+    packed = lanes.pack(xs)
+    assert list(lanes.unpack(len(xs), lanes.residues(len(xs))(packed))) == [x % p for x in xs]
+    flag = 1 << (lanes.bits - 1)
+    flags = lanes.unpack(len(xs), lanes.zero_flags(len(xs))(packed))
+    assert list(flags) == [0 if x % p else flag for x in xs]
+
+
+def test_lanes_refuse_fields_wider_than_64_bits():
+    # widths only, no field is built: a field must hold top * mult > top^2,
+    # and top = d (p-1)^2 is 3 * 2^32 at p = 65537, (2^31 - 2)^2 at p = 2^31 - 1
+    assert _Lanes(317, 3).bits == 64
+    assert _Lanes(2, 24).bits == 16
+    with pytest.raises(OverflowError):
+        _Lanes(65537, 3)
+    with pytest.raises(OverflowError):
+        _Lanes(2**31 - 1, 1)
 
 
 def test_trace_scan_rejects_a_subfield_generator():
