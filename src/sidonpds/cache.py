@@ -111,6 +111,8 @@ def load_pds(q: int, data_root=None) -> Pds | None:
         raise CacheIntegrityError(f"{path}: v={entry.v} != q^2+q+1")
     if list(entry.elems) != sorted(set(entry.elems)):
         raise CacheIntegrityError(f"{path}: residues not sorted and distinct")
+    if not all(0 <= x < entry.v for x in entry.elems):
+        raise CacheIntegrityError(f"{path}: residues outside [0, {entry.v})")
     if not verify_pds(entry.elems, entry.v):
         raise CacheIntegrityError(f"{path}: residues are not a perfect difference set mod {entry.v}")
     return entry
@@ -157,6 +159,11 @@ def write_enumeration(records, path) -> None:
 
 
 def read_enumeration(path) -> list[EnumerationRecord]:
+    """Parse a JSONL file written by write_enumeration back into records.
+
+    Nothing in the pipeline reads its own output back; this stays as the
+    format's reader next to its writer, and the round-trip tests use it.
+    """
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):

@@ -33,8 +33,10 @@ can rule it out before any scan (the coset path).  An exhaustive (a, b) scan
 is kept as the oracle the tests compare the pivot scan against; the check
 itself never calls it.
 
-fast_check_many checks many sets at once, q-major: at each order it scans
-every set not yet decided, and fast_check is the batch of one.  Two kinds
+fast_check_many checks many sets at once, q-major, and fast_check is the
+batch of one.  At each order q every undecided set with |S| <= q+1 is due
+and appends (q, v) to its checked list or (q, reason) to its skipped list;
+its report is built from the two when it embeds or after q_max.  Two kinds
 of work are shared, both only between the sets of one call at one order.
 Verdicts: translating S, reflecting it (x -> -x) and dividing it by its
 content g (the gcd of the normalized elements) when gcd(g, v) = 1 are
@@ -179,9 +181,9 @@ def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcom
     # size first: a set larger than q+1 always also collides mod v, and the
     # size reason is the one that explains why
     if n > q + 1:
-        return CheckOutcome(SKIP_SIZE, reason=_skip_reason(n, q, v))
+        return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
     if not sidon_distinct_mod(s, v):
-        return CheckOutcome(SKIP_COLLISION, reason=_skip_reason(n, q, v))
+        return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
     if n == 1:
         witness = _make_witness(pds, 1, pds.elems[0], (0,), _member_set(pds.elems))
         return CheckOutcome(EXTENDS, witness=witness)
@@ -194,11 +196,6 @@ def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcom
     if g > 1:
         return coset_path(s_norm, pds, g)
     return _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), _scan_starts(pds), tables)
-
-
-def _skip_reason(n: int, q: int, v: int) -> str:
-    """Why fast_extends_at_q skips a set of n elements at q: its size first, else a collision."""
-    return f"|S|={n} > q+1={q + 1}" if n > q + 1 else f"S has collision mod {v}"
 
 
 def _best_pivot(s_norm, v: int) -> int:
@@ -305,8 +302,9 @@ def fast_check(s, q_max: int, source) -> CheckReport:
 def fast_check_many(sets, q_max: int, source):
     """fast_check on every set, q-major: yields (index, report) in the order the sets are decided.
 
-    Each report equals fast_check's for that set, witness included.  Every
-    set is validated before any is scanned, with fast_check's ValueErrors.
+    Each report equals fast_check's for that set, witness included, and is
+    yielded at the order where the set embeds, or after q_max.  Every set
+    is validated before any is scanned, with fast_check's ValueErrors.
     """
     sets = [_check_input(s, q_max) for s in sets]
     return _scan_batch(sets, q_max, source)
@@ -338,59 +336,41 @@ def _class_key(s, v: int) -> tuple[int, ...]:
 
 
 def _scan_batch(sets, q_max: int, source):
-    # orders[q - 2] = (q, v, reason): reason is why no set was scanned at q,
-    # or None when the cached PDS was; an order that no set has reached yet
-    # (q < q_lo for every live set) is never read
-    orders: list[tuple[int, int, str | None]] = []
-    live = [(i, s, 0) for i, s in enumerate(sets)]  # (index, set, bit mask of skipped order indices)
+    # index -> (set, checked, skipped): the set's report so far, appended to
+    # at each order where it is due (|S| <= q+1) and yielded once decided
+    live = {i: (s, [], []) for i, s in enumerate(sets)}
     for q in range(2, q_max + 1):
         if not live:
             return
-        v = q * q + q + 1
-        if is_prime_power(q) is None:
-            orders.append((q, v, "not prime power"))
+        due = [i for i, (s, _, _) in live.items() if len(s) <= q + 1]
+        if not due:
             continue
-        if all(len(s) - 1 > q for _, s, _ in live):
-            orders.append((q, v, None))
-            continue
-        pds = source.get(q)
+        pp = is_prime_power(q)
+        pds = None if pp is None else source.get(q)
+        # one (q, reason) or (q, v) tuple per order, shared by the sets it is appended to
         if pds is None:
-            orders.append((q, v, "no cached PDS"))
+            skip = (q, "not prime power" if pp is None else "no cached PDS")
+            for i in due:
+                live[i][2].append(skip)
             continue
-        orders.append((q, v, None))
+        v = q * q + q + 1
+        ruled_out_at = (q, v)
         ruled_out: set[tuple[int, ...]] = set()  # class keys with NO_IMAGE at q
         tables: dict = {}
-        still = []
-        for i, s, skips in live:
-            if len(s) - 1 <= q:
-                key = _class_key(s, v)
-                if key not in ruled_out:
-                    outcome = fast_extends_at_q(s, pds, tables=tables)
-                    if outcome.kind == EXTENDS:
-                        yield i, _batch_report(s, orders, skips, outcome.witness)
-                        continue
-                    if outcome.kind == NO_IMAGE:
-                        ruled_out.add(key)
-                    else:
-                        skips |= 1 << (q - 2)
-            still.append((i, s, skips))
-        live = still
-    for i, s, skips in live:
-        yield i, _batch_report(s, orders, skips, None)
-
-
-def _batch_report(s, orders, skips: int, witness: AffineWitness | None) -> CheckReport:
-    """A set's report, rebuilt from the batch's orders and the set's own skip mask."""
-    n = len(s)
-    end = len(orders) if witness is None else witness.q - 2
-    checked = []
-    skipped = []
-    for k in range(max(2, n - 1) - 2, end):
-        q, v, reason = orders[k]
-        if reason is not None:
-            skipped.append((q, reason))
-        elif skips >> k & 1:
-            skipped.append((q, _skip_reason(n, q, v)))
-        else:
-            checked.append((q, v))
-    return CheckReport(witness is not None, witness, tuple(checked), tuple(skipped))
+        for i in due:
+            s, checked, skipped = live[i]
+            key = _class_key(s, v)
+            if key in ruled_out:
+                checked.append(ruled_out_at)
+                continue
+            outcome = fast_extends_at_q(s, pds, tables=tables)
+            if outcome.kind == EXTENDS:
+                del live[i]
+                yield i, CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
+            elif outcome.kind == NO_IMAGE:
+                ruled_out.add(key)
+                checked.append(ruled_out_at)
+            else:
+                skipped.append((q, outcome.reason))
+    for i, (_, checked, skipped) in live.items():
+        yield i, CheckReport(False, None, tuple(checked), tuple(skipped))

@@ -202,15 +202,6 @@ def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ..
     return add, mul
 
 
-def _gf_neg(q: int, a: int) -> int:
-    add = _gf_tables(q)[0]
-    row = add[a]
-    for x in range(q):
-        if row[x] == 0:
-            return x
-    raise AssertionError("additive inverse missing")
-
-
 def _cubic_mulmod(a, b, reduce_row, add, mul):
     # product of degree-<3 polynomials over GF(q), reduced via
     # t^3 = reduce_row[2] t^2 + reduce_row[1] t + reduce_row[0]
@@ -236,20 +227,16 @@ def _cubic_mulmod(a, b, reduce_row, add, mul):
 def _char_poly_is_primitive(q: int, a1: int, a2: int, a3: int) -> bool:
     """Is t^3 - a1 t^2 - a2 t - a3 primitive over GF(q)?
 
-    Primitive means irreducible with a root of full order q^3 - 1.  A cubic
-    is irreducible iff it has no root in GF(q); the order condition is
-    t^(q^3-1) = 1 with t^((q^3-1)/r) != 1 for every prime r | q^3 - 1,
-    computed in GF(q)[t] modulo the cubic.
+    Primitive means irreducible with a root of full order q^3 - 1.  The
+    order condition is t^(q^3-1) = 1 with t^((q^3-1)/r) != 1 for every
+    prime r | q^3 - 1, computed in R = GF(q)[t] modulo the cubic, and it
+    implies irreducibility, so no root scan precedes it.  A reducible cubic
+    has a root x in GF(q); the q^2 elements of the ideal (t - x) are not
+    units, so R has at most q^3 - q^2 < q^3 - 1 units and no element of
+    order q^3 - 1.
     """
     add, mul = _gf_tables(q)
     reduce_row = (a3, a2, a1)
-    f = (_gf_neg(q, a3), _gf_neg(q, a2), _gf_neg(q, a1))
-    for x in range(q):
-        acc = add[x][f[2]]
-        acc = add[mul[acc][x]][f[1]]
-        acc = add[mul[acc][x]][f[0]]
-        if acc == 0:
-            return False
     group = q**3 - 1
 
     def powmod(e: int):

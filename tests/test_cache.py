@@ -80,6 +80,24 @@ def test_load_rejects_bad_json_and_bad_modulus(tmp_path):
         load_pds(2, tmp_path)
 
 
+@pytest.mark.parametrize("elems", [[0, 1, 3, 9], [-1, 0, 2]], ids=["above-v", "negative"])
+def test_load_rejects_a_residue_outside_the_modulus(tmp_path, elems):
+    # sorted and distinct, so only the range test catches it
+    path = pds_path(2, tmp_path)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"q": 2, "v": 7, "method": "trace_zero", "B": elems}) + "\n")
+    with pytest.raises(CacheIntegrityError, match="outside"):
+        load_pds(2, tmp_path)
+
+
+def test_build_replaces_an_out_of_range_entry(tmp_path):
+    build_pds_cache(5, tmp_path)
+    path = pds_path(2, tmp_path)
+    path.write_text(json.dumps({"q": 2, "v": 7, "method": "trace_zero", "B": [0, 1, 3, 9]}) + "\n")
+    assert build_pds_cache(5, tmp_path) == 1
+    assert load_pds(2, tmp_path).elems == (1, 2, 4)
+
+
 def test_build_replaces_corrupt_entry(tmp_path):
     build_pds_cache(3, tmp_path)
     pds_path(3, tmp_path).write_text("garbage")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sidonpds.cache import build_pds_cache, enumeration_path
+from sidonpds.cache import build_pds_cache, enumeration_path, pds_path
 from sidonpds.cli import main
 
 
@@ -130,6 +130,25 @@ def test_missing_cache_names_build_command(tmp_path, capsys):
     code, _, err = run(capsys, "--data-root", str(tmp_path), "check", "0,1,3,11", "--q-max", "13")
     assert code == 1
     assert "build-cache 13" in err
+
+
+def test_out_of_range_cache_entry_is_a_cache_error(tmp_path, capsys):
+    build_pds_cache(5, tmp_path)
+    pds_path(2, tmp_path).write_text(json.dumps({"q": 2, "v": 7, "method": "trace_zero", "B": [0, 1, 3, 9]}) + "\n")
+    code, _, err = run(capsys, "--data-root", str(tmp_path), "check", "0,1,3", "--q-max", "5")
+    assert code == 1
+    assert "outside [0, 7)" in err
+
+
+def test_check_verbose_lists_each_skip(capsys, data_root):
+    code, out, err = run(capsys, "--data-root", data_root, "check", "0,3,9,33", "--q-max", "13", "--verbose")
+    assert code == 0
+    assert out == "non-extending for prime powers q <= 13\nchecked 5 orders; skipped 6\n"
+    assert err == (
+        "  skip q=3: S has collision mod 13\n"
+        "  skip q=4: S has collision mod 21\n"
+        "  skip q=7: S has collision mod 57\n"
+    )
 
 
 def test_triple_verify_requires_the_cache_at_its_enumeration_orders(tmp_path, capsys):

@@ -4,6 +4,7 @@ from math import isqrt
 import pytest
 
 from sidonpds.fields import (
+    factorize,
     field_ctx,
     field_pow,
     find_primitive_element,
@@ -18,6 +19,9 @@ from sidonpds.singer import (
     METHOD_TRACE,
     InvalidCoefficientsError,
     RecurrenceCoeffs,
+    _char_poly_is_primitive,
+    _cubic_mulmod,
+    _gf_tables,
     _Lanes,
     _trace_zero_indices,
     affine_equivalent,
@@ -160,6 +164,70 @@ def test_find_primitive_coeffs_q2_first_in_scan_order():
 def test_find_primitive_coeffs_a3_nonzero():
     for q in (2, 3, 4, 5, 7, 9):
         assert find_primitive_coeffs(q).a3 != 0
+
+
+def _gf_neg(q: int, a: int) -> int:
+    add = _gf_tables(q)[0]
+    row = add[a]
+    for x in range(q):
+        if row[x] == 0:
+            return x
+    raise AssertionError("additive inverse missing")
+
+
+def _root_scan_is_primitive(q: int, a1: int, a2: int, a3: int) -> bool:
+    """Oracle for _char_poly_is_primitive: a root scan for irreducibility, then the order test."""
+    add, mul = _gf_tables(q)
+    reduce_row = (a3, a2, a1)
+    f = (_gf_neg(q, a3), _gf_neg(q, a2), _gf_neg(q, a1))
+    for x in range(q):
+        acc = add[x][f[2]]
+        acc = add[mul[acc][x]][f[1]]
+        acc = add[mul[acc][x]][f[0]]
+        if acc == 0:
+            return False
+    group = q**3 - 1
+
+    def powmod(e: int):
+        r = [1, 0, 0]
+        b = [0, 1, 0]
+        while e:
+            if e & 1:
+                r = _cubic_mulmod(r, b, reduce_row, add, mul)
+            e >>= 1
+            if e:
+                b = _cubic_mulmod(b, b, reduce_row, add, mul)
+        return r
+
+    if powmod(group) != [1, 0, 0]:
+        return False
+    return all(powmod(group // r) != [1, 0, 0] for r in sorted(set(factorize(group))))
+
+
+def test_order_test_alone_agrees_with_root_scan_oracle():
+    # the order test implies irreducibility, so dropping the root scan
+    # must not change the verdict on any triple, a3 = 0 (t not a unit) included
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for a1 in range(q):
+            for a2 in range(q):
+                for a3 in range(q):
+                    assert _char_poly_is_primitive(q, a1, a2, a3) == _root_scan_is_primitive(q, a1, a2, a3)
+
+
+def test_find_primitive_coeffs_pinned_up_to_64():
+    pinned = {
+        2: (0, 1, 1), 3: (0, 1, 2), 4: (1, 1, 2), 5: (0, 1, 2), 7: (0, 1, 5), 8: (0, 1, 2),
+        9: (0, 1, 4), 11: (0, 1, 7), 13: (0, 2, 6), 16: (0, 1, 9), 17: (0, 1, 3),
+        19: (0, 1, 15), 23: (0, 1, 10), 25: (0, 1, 12), 27: (0, 1, 10), 29: (0, 1, 3),
+        31: (0, 1, 3), 32: (0, 1, 6), 37: (0, 1, 2), 41: (0, 1, 13), 43: (0, 1, 20),
+        47: (0, 1, 5), 49: (0, 1, 9), 53: (0, 1, 8), 59: (0, 1, 8), 61: (0, 1, 10),
+        64: (0, 1, 34),
+    }
+    assert [q for q in range(2, 65) if is_prime_power(q)] == sorted(pinned)
+    for q, triple in pinned.items():
+        c = find_primitive_coeffs(q)
+        assert (c.a1, c.a2, c.a3) == triple
+        assert _root_scan_is_primitive(q, *triple)
 
 
 def test_recurrence_q2_zero_positions_by_hand():
