@@ -96,15 +96,15 @@ def load_pds(q: int, data_root=None) -> Pds | None:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CacheIntegrityError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        entry = Pds(
-            q=int(data["q"]),
-            v=int(data["v"]),
-            elems=tuple(int(x) for x in data["B"]),
-            method=str(data.get("method", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheIntegrityError(f"{path}: malformed entry ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CacheIntegrityError(f"{path}: malformed entry (not a JSON object)")
+    entry_q, v, elems, method = (data.get(key) for key in ("q", "v", "B", "method"))
+    # a float, a string or a bool (an int subclass) is not coerced: the file
+    # is malformed, and build-cache rebuilds it
+    if not (type(elems) is list and type(method) is str
+            and all(type(x) is int for x in (entry_q, v, *elems))):
+        raise CacheIntegrityError(f"{path}: malformed entry (q, v and B need JSON integers, method a string)")
+    entry = Pds(q=entry_q, v=v, elems=tuple(elems), method=method)
     if entry.q != q:
         raise CacheIntegrityError(f"{path}: entry is for q={entry.q}, expected {q}")
     if entry.v != q * q + q + 1:
@@ -139,7 +139,7 @@ def build_pds_cache(q_max: int, data_root=None, *, progress=None) -> int:
         write_pds(pds, data_root)
         built += 1
         if progress is not None:
-            progress(q, pds.v)
+            progress(f"  built q={q}, v={pds.v}")
     return built
 
 

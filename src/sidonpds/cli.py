@@ -44,22 +44,13 @@ def _require_sidon(elems) -> tuple[int, ...]:
     return elems
 
 
-def _source(args) -> orbit.PdsSource:
-    return orbit.PdsSource(args.data_root)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
 
 def _cmd_build_cache(args) -> int:
     t0 = time.monotonic()
-
-    def progress(q, v):
-        if args.verbose:
-            _eprint(f"  built q={q}, v={v}")
-
-    built = cache.build_pds_cache(args.q_max, args.data_root, progress=progress)
+    built = cache.build_pds_cache(args.q_max, args.data_root, progress=_eprint if args.verbose else None)
     present = sum(1 for q in range(2, args.q_max + 1) if is_prime_power(q))
     _eprint(f"built {built} new entries in {time.monotonic() - t0:.1f}s")
     print(f"{present} prime powers q <= {args.q_max} cached")
@@ -91,7 +82,7 @@ def _cmd_singer(args) -> int:
 
 def _cmd_check(args) -> int:
     s = _require_sidon(_parse_set(args.set))
-    src = _source(args)
+    src = orbit.PdsSource(args.data_root)
     pipeline.require_cache(src, args.q_max)
     report = orbit.fast_check(s, args.q_max, src)
     if report.extends:
@@ -111,11 +102,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_triple_verify(args) -> int:
-    src = _source(args)
     budget = dfs.DfsBudget(time_limit_s=args.budget_seconds)
-    progress = _eprint if args.verbose else None
     verdicts = pipeline.triple_verify(
-        args.q_max_fast, args.q_lo, args.q_hi, budget, source=src, progress=progress
+        args.q_max_fast, args.q_lo, args.q_hi, budget, source=orbit.PdsSource(args.data_root),
+        progress=_eprint if args.verbose else None,
     )
     failures = []
     for v in verdicts:
@@ -178,7 +168,9 @@ def _cmd_independent_check(args) -> int:
                 f"(exhaustive, all v including non-prime-power orders)"
             )
         else:
-            print(" conclusion: INCONCLUSIVE (timeouts present)")
+            reason = ("timeouts present" if any(r.status == dfs.TIMEOUT for r in rep.runs)
+                      else f"every order in [{args.q_lo}, {args.q_hi}] was skipped")
+            print(f" conclusion: INCONCLUSIVE ({reason})")
             ok = False
     if args.check:
         if not ok or (not args.set and any(r.extends for r in reports)):
@@ -212,13 +204,12 @@ def _check_density_row(row: pipeline.DensityRow, records, failures):
 
 def _cmd_density(args) -> int:
     """enumerate (one N, any size) and density-table (several N, size 4)."""
-    src = _source(args)
-    progress = (lambda done, total: _eprint(f"  {done}/{total} sets classified")) if args.verbose else None
+    src = orbit.PdsSource(args.data_root)
     failures: list[str] = []
     for i, n_max in enumerate(args.n_max):
         t0 = time.monotonic()
         row, records = pipeline.enumerate_sidon(n_max, args.size, args.q_max, source=src,
-                                                progress=progress)
+                                                progress=_eprint if args.verbose else None)
         _eprint(f"N={n_max} size={args.size} q_max={args.q_max}: {time.monotonic() - t0:.1f}s")
         path = cache.enumeration_path(n_max, args.size, args.q_max, args.data_root)
         cache.write_enumeration(records, path)
@@ -235,8 +226,8 @@ def _cmd_density(args) -> int:
 
 def _cmd_closure(args) -> int:
     s = _require_sidon(_parse_set(args.set))
-    src = _source(args)
-    report = pipeline.superset_closure_check(s, args.size, args.range_max, args.q_max, source=src)
+    report = pipeline.superset_closure_check(s, args.size, args.range_max, args.q_max,
+                                             source=orbit.PdsSource(args.data_root))
     print(
         f"base={list(report.base)} non_extending={report.precondition_ok} "
         f"supersets={report.count} all_non_extending={report.all_non_extending}"

@@ -62,7 +62,7 @@ class DfsBudget:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN too: it would never pass the deadline
             raise ValueError("time_limit_s must be positive")
 
 
@@ -294,8 +294,6 @@ def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
     """
     if q_lo < 2 or q_hi < q_lo:
         raise ValueError(f"bad q range [{q_lo}, {q_hi}]")
-    if budget is None:
-        budget = DfsBudget()
     reports = []
     for s in candidates:
         s = tuple(sorted(s))

@@ -40,18 +40,14 @@ _PATTERN_B = (0, 1, 4, 11)
 
 # The four members of the dilation family, in the order of family_dilations.
 _FAMILY = (
-    ("A", _PATTERN_A),
-    ("refl(A)", reflect(_PATTERN_A)),
-    ("B", _PATTERN_B),
-    ("refl(B)", reflect(_PATTERN_B)),
-)
-
-BASE_CANDIDATES = (
     Candidate(_PATTERN_A, "A"),
-    Candidate(_PATTERN_B, "B"),
     Candidate(reflect(_PATTERN_A), "refl(A)"),
+    Candidate(_PATTERN_B, "B"),
     Candidate(reflect(_PATTERN_B), "refl(B)"),
 )
+
+# A, B, refl(A), refl(B): the order of the triple-verify and independent-check output
+BASE_CANDIDATES = _FAMILY[0::2] + _FAMILY[1::2]
 
 CONTROL_CANDIDATES = (
     Candidate((0, 1, 3), "control {0,1,3}"),
@@ -110,17 +106,23 @@ class DensityRow:
     predicted: int | None  # 4*floor(N/11): the dilation-family count, size 4 only
 
 
+def _sidon_sets_through(base: tuple[int, ...], size: int, range_max: int):
+    """Sidon sets of `size` elements holding base, the others from [0, range_max], in lex order
+    of the added elements; none when base has an element above range_max."""
+    if max(base) > range_max:
+        return
+    pool = [x for x in range(range_max + 1) if x not in base]
+    for extra in combinations(pool, size - len(base)):
+        s = tuple(sorted(base + extra))
+        if is_sidon(s):
+            yield s
+
+
 def iter_sidon_sets(n_max: int, size: int):
     """Normalized Sidon sets {0, ...} with elements <= n_max, in lexicographic order."""
     if size < 1:
         raise ValueError("size must be positive")
-    if size == 1:
-        yield (0,)
-        return
-    for rest in combinations(range(1, n_max + 1), size - 1):
-        s = (0,) + rest
-        if is_sidon(s):
-            yield s
+    yield from _sidon_sets_through((0,), size, n_max)
 
 
 def classify(s, q_max: int, source) -> tuple[bool, int | None]:
@@ -140,7 +142,7 @@ def _records(sets, q_max: int, source, progress=None) -> list[EnumerationRecord]
         q_witness = report.witness.q if report.extends else None
         records[i] = EnumerationRecord(sets[i], report.extends, q_witness, q_max)
         if progress is not None and done % 500 == 0:
-            progress(done, len(sets))
+            progress(f"  {done}/{len(sets)} sets classified")
     return records
 
 
@@ -172,7 +174,7 @@ def enumerate_sidon(n_max: int, size: int, q_max: int, *, source, jobs: int = 1,
 
 def family_dilations(k: int) -> tuple[tuple[int, ...], ...]:
     """The four size-4 patterns at dilation k: kA, refl(kA), kB, refl(kB)."""
-    return tuple(dilate(pattern, k) for _, pattern in _FAMILY)
+    return tuple(dilate(c.elems, k) for c in _FAMILY)
 
 
 def family_members(n_max: int) -> set[tuple[int, ...]]:
@@ -190,9 +192,9 @@ def matches_base_family(s) -> tuple[int, str] | None:
     if top == 0 or top % 11:
         return None
     k = top // 11
-    for label, pattern in _FAMILY:
-        if ns == dilate(pattern, k):
-            return k, label
+    for c in _FAMILY:
+        if ns == dilate(c.elems, k):
+            return k, c.label
     return None
 
 
@@ -225,9 +227,9 @@ def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source) -> list[
     """Fast-check all four patterns at every dilation k = 1..k_max against source's PDSs."""
     require_cache(source, q_max)
     members = [
-        (k, label if k == 1 else f"{k}*{label}", dilate(pattern, k))
+        (k, c.label if k == 1 else f"{k}*{c.label}", dilate(c.elems, k))
         for k in range(1, k_max + 1)
-        for label, pattern in _FAMILY
+        for c in _FAMILY
     ]
     reports = dict(orbit.fast_check_many([s for _, _, s in members], q_max, source))
     return [DilationVerdict(k, label, s, reports[i]) for i, (k, label, s) in enumerate(members)]
@@ -271,15 +273,9 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
     if target_size <= len(base):
         raise ValueError("target_size must exceed the base size")
     require_cache(source, q_max)
-    base_report = orbit.fast_check(base, q_max, source)
-    precondition_ok = not base_report.extends
-    pool = [x for x in range(range_max + 1) if x not in base]
-    sups = []
-    for extra in combinations(pool, target_size - len(base)):
-        sup = tuple(sorted(base + extra))
-        if max(sup) <= range_max and is_sidon(sup):
-            sups.append(sup)
-    verdicts = _records(sups, q_max, source)
+    sets = [base, *_sidon_sets_through(base, target_size, range_max)]
+    base_record, *verdicts = _records(sets, q_max, source)  # one batch, the base first
+    precondition_ok = not base_record.extends
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
     return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
 

@@ -7,7 +7,8 @@ each one up with getattr when a traced run starts, so renaming or deleting
 one of them makes every traced benchmark run fail.  Its hooks read the
 results of the calls they wrap, so those results keep their shape.
 perfbench/pins.json holds the sha256 of every cache file that
-`build-cache 317` writes.  Both files are loaded by path and only read.
+`build-cache 317` writes and of the N = 20 and N = 30 density JSONL.  Both
+files are loaded by path and only read.
 """
 
 import ast
@@ -21,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from sidonpds.cache import load_pds
+from sidonpds.cache import enumeration_path, load_pds, write_enumeration
 from sidonpds.dfs import EXHAUSTED, FOUND, TIMEOUT, DfsBudget, DfsRun, enumerate_all_pds, find_pds_extension
+from sidonpds.pipeline import enumerate_sidon
 from sidonpds.singer import singer_pds_trace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -128,3 +130,13 @@ def test_built_cache_matches_the_pinned_bytes(data_root):
     }
     assert len(built) == 83
     assert built == pinned
+
+
+@pytest.mark.parametrize("n_max", [20, 30])
+def test_density_jsonl_matches_the_pinned_bytes(source, tmp_path, n_max):
+    # the records the density workload writes and checks, byte for byte
+    _, records = enumerate_sidon(n_max, 4, 250, source=source)
+    path = enumeration_path(n_max, 4, 250, tmp_path)
+    write_enumeration(records, path)
+    pinned = json.loads(PINS.read_text())["jsonl"][f"size4_N{n_max}_qmax250"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned

@@ -13,6 +13,7 @@ from sidonpds.cache import (
     resolve_data_root,
     write_enumeration,
 )
+from sidonpds.sidon import Pds
 
 
 def test_build_small_cache_counts(tmp_path):
@@ -146,3 +147,39 @@ def test_resolve_data_root_env(monkeypatch, tmp_path):
     monkeypatch.delenv("SIDONPDS_DATA_ROOT")
     assert str(resolve_data_root()) == "data"
     assert resolve_data_root("/x/y") == resolve_data_root("/x/y")
+
+
+# Each of these loaded at one time, coerced with int() and str() into a
+# valid-looking entry for q = 2.
+NOT_JSON_INTEGERS = {
+    "floats-and-strings": {"q": 2.4, "v": "7", "method": 5, "B": "013"},
+    "float-residue": {"q": 2, "v": 7, "method": "trace_zero", "B": [0, 1.9, 3]},
+    "bool-residue": {"q": 2, "v": 7, "method": "trace_zero", "B": [True, 2, 4]},
+    "float-q": {"q": 2.0, "v": 7, "method": "trace_zero", "B": [1, 2, 4]},
+    "string-v": {"q": 2, "v": "7", "method": "trace_zero", "B": [1, 2, 4]},
+    "no-method": {"q": 2, "v": 7, "B": [1, 2, 4]},
+    "int-method": {"q": 2, "v": 7, "method": 5, "B": [1, 2, 4]},
+    "string-B": {"q": 2, "v": 7, "method": "trace_zero", "B": "124"},
+    "not-an-object": [2, 7, "trace_zero", [1, 2, 4]],
+}
+
+
+def _write_entry(root, obj, q=2):
+    path = pds_path(q, root)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("obj", NOT_JSON_INTEGERS.values(), ids=NOT_JSON_INTEGERS.keys())
+def test_load_rejects_values_that_are_not_json_integers(tmp_path, obj):
+    _write_entry(tmp_path, obj)
+    with pytest.raises(CacheIntegrityError, match="malformed"):
+        load_pds(2, tmp_path)
+
+
+@pytest.mark.parametrize("obj", NOT_JSON_INTEGERS.values(), ids=NOT_JSON_INTEGERS.keys())
+def test_build_replaces_an_entry_that_is_not_json_integers(tmp_path, obj):
+    _write_entry(tmp_path, obj)
+    assert build_pds_cache(2, tmp_path) == 1
+    assert load_pds(2, tmp_path) == Pds(2, 7, (1, 2, 4), "trace_zero")

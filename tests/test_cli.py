@@ -246,3 +246,72 @@ def test_closure_check_matches_reference_count(capsys, data_root):
     assert code == 0
     assert "supersets=13" in out
     assert "MISMATCH" not in err
+
+
+def test_check_exits_1_on_an_entry_that_is_not_json_integers(tmp_path, capsys):
+    # int() would read this as the PDS (0, 1, 3) mod 7
+    pds_path(2, tmp_path).parent.mkdir(parents=True)
+    pds_path(2, tmp_path).write_text(json.dumps({"q": 2, "v": 7, "method": "trace_zero", "B": [0, 1.9, 3]}) + "\n")
+    code, _, err = run(capsys, "--data-root", str(tmp_path), "check", "0,1,3", "--q-max", "2")
+    assert code == 1
+    assert "malformed entry" in err
+
+
+@pytest.mark.parametrize("check, code", [((), 0), (("--check",), 1)])
+def test_independent_check_says_when_every_order_was_skipped(capsys, check, code):
+    # {0,1,3,11} is too large for q = 2 and collides mod 13 at q = 3
+    got, out, _ = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "2", "--q-hi", "3", *check)
+    assert got == code
+    assert out == "=== S = (0, 1, 3, 11) ===\n conclusion: INCONCLUSIVE (every order in [2, 3] was skipped)\n"
+
+
+def test_independent_check_says_when_a_run_timed_out(capsys):
+    # the search of A at q = 11 takes 1,721 nodes; the deadline is read every 256
+    code, out, _ = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "11", "--q-hi", "11",
+                       "--budget-seconds", "0.001", "--check")
+    assert code == 1
+    assert out == (
+        "=== S = (0, 1, 3, 11) ===\n q=11, v=133: timeout\n conclusion: INCONCLUSIVE (timeouts present)\n"
+    )
+
+
+def test_nan_budget_is_a_usage_error(capsys):
+    assert main(["--budget-seconds", "nan", "independent-check"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_build_cache_verbose_names_each_order(tmp_path, capsys):
+    code, _, err = run(capsys, "--data-root", str(tmp_path), "build-cache", "13", "--verbose")
+    assert code == 0
+    *built, summary = err.splitlines()
+    assert built == [f"  built q={q}, v={q * q + q + 1}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    assert summary.startswith("built 9 new entries in ")
+
+
+def test_enumerate_verbose_counts_every_500_sets(capsys, data_root, tmp_path):
+    out_root = tmp_path / "data"
+    out_root.mkdir()
+    (out_root / "pds_cache").symlink_to(f"{data_root}/pds_cache")
+    code, _, err = run(capsys, "--data-root", str(out_root), "enumerate", "30", "4", "250", "--verbose")
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[:6] == [f"  {done}/3254 sets classified" for done in range(500, 3254, 500)]
+    assert lines[6].startswith("N=30 size=4 q_max=250: ")
+    assert lines[7] == f"wrote 3254 records to {enumeration_path(30, 4, 250, out_root)}"
+
+
+def test_triple_verify_verbose_reports_each_enumeration_and_candidate(capsys, data_root):
+    code, _, err = run(capsys, "--data-root", data_root, "triple-verify", "--q-max-fast", "64", "--verbose")
+    assert code == 0
+    assert err.splitlines() == [
+        "enumerated v=13: 52 perfect difference sets",
+        "enumerated v=21: 42 perfect difference sets",
+        "enumerated v=31: 310 perfect difference sets",
+        "enumerated v=73: 584 perfect difference sets",
+        "A: non_extending=True",
+        "B: non_extending=True",
+        "refl(A): non_extending=True",
+        "refl(B): non_extending=True",
+        "control {0,1,3}: non_extending=False",
+        "control {0,1,3,19}: non_extending=False",
+    ]

@@ -415,3 +415,10 @@ def test_independent_check_exhausts_order_12():
 def test_independent_check_covers_non_prime_power_orders():
     rep = independent_check([B], 5, 7, DfsBudget(30))[0]
     assert [r.v for r in rep.runs] == [31, 43, 57]  # q = 6 is not a prime power, still searched
+
+
+def test_budget_rejects_nan_and_keeps_inf():
+    # NaN fails every comparison, so a NaN deadline would never be passed
+    with pytest.raises(ValueError):
+        DfsBudget(time_limit_s=float("nan"))
+    assert DfsBudget(time_limit_s=float("inf")).time_limit_s == float("inf")

@@ -255,3 +255,18 @@ def test_one_pds_per_translation_class_decides_the_exhaustive_verdict(v):
     for cand in BASE_CANDIDATES + CONTROL_CANDIDATES:
         assert (_exhaustive_extends(cand.elems, q, v, sols)
                 == _exhaustive_extends(cand.elems, q, v, sorted(translates))), (cand.label, v)
+
+
+def test_iter_sidon_sets_stays_inside_the_range():
+    assert list(iter_sidon_sets(0, 1)) == [(0,)]
+    assert list(iter_sidon_sets(-1, 1)) == []
+    assert list(iter_sidon_sets(2, 2)) == [(0, 1), (0, 2)]
+    with pytest.raises(ValueError):
+        list(iter_sidon_sets(8, 0))
+
+
+def test_superset_closure_with_the_base_outside_the_range(source):
+    # the base is still classified; no superset fits in [0, 10]
+    report = superset_closure_check(A, 5, 10, 64, source=source)
+    assert report.precondition_ok
+    assert report.count == 0 and report.violations == ()
