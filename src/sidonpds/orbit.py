@@ -48,10 +48,17 @@ and is never divided out: 3*{0,1,3,11} collides mod 57 while {0,1,3,11}
 does not.  A set whose key had no image at this order is recorded as ruled
 out without a scan.  An embedding is never shared, because its witness
 (a, b) belongs to the set: such a set runs its own scan, which returns the
-witness fast_check returns.  Tables: with a unit pivot s_j the candidate
-list for a start b0 depends only on B, s_j, the filter element x1 and b0,
-so the scan builds it once per order for every set with that pivot and
-filter.  Neither is kept across calls or orders.
+witness fast_check returns.  Tables: with a unit pivot s_j and a unit
+filter element x1, the candidate list for a start b0 depends only on B,
+s_j, x1 and b0, so the scan builds it once per order for every set with
+that pivot and filter.  It is one mask intersection: with
+M_r = {r*b mod v : b in B}, inv = s_j^{-1} and w = x1^{-1}, the maps with
+0 -> b0 that send s_j and x1 into B are a = c - inv*b0 for the bits c of
+M_inv & rotr(M_w, (w - inv)*b0 mod v).  Bits come in c order, not b1
+order, so the list is sorted by b1 = s_j*c to keep the first witness of
+the scan over b1.  Without a unit pivot, or a unit beside it, or with
+|S| = 2, the scan lists each pair (b0, b1) instead.  Neither verdicts nor
+tables are kept across calls or orders.
 """
 
 from __future__ import annotations
@@ -170,9 +177,12 @@ def _make_witness(pds: Pds, a, b, s_norm, members) -> AffineWitness:
 def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcome:
     """Decide whether some affine image of s lies inside pds.elems in Z_v, v = pds.v.
 
-    The order q and the modulus v are those of pds.  tables holds the
-    unit-pivot candidate lists of _pivot_scan.  Calls that pass the same
-    dict must pass the same pds; fast_check_many keeps one per order.  None
+    The order q and the modulus v are those of pds.  tables holds what
+    _pivot_scan builds for a unit pivot s_j and a unit filter element x1:
+    the masks M_r = {r*b mod v : b in B} under r, and under (s_j, x1) the
+    candidate list of each start b0, the bits of
+    M_inv & rotr(M_w, (w - inv)*b0 mod v).  Calls that pass the same dict
+    must pass the same pds; fast_check_many keeps one per order.  None
     scans with a fresh dict.
     """
     q, v = pds.q, pds.v
@@ -208,18 +218,30 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = No
 
     Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
     when g = gcd(s_j, v) divides b1 - b0, and then exactly for the g lifts of
-    the reduced solution mod v/g.  Each pair's candidates are filtered on one
-    further element inside the comprehension, so only the few survivors pay
-    for the unit test and the remaining elements.  The g = 1 branch (one
-    candidate per pair) is kept separate because it carries nearly all calls.
+    the reduced solution mod v/g.  Candidates are filtered on one further
+    element x1, a unit mod v when S has one, so only the few survivors pay
+    for the unit test and the remaining elements.
 
     starts is _scan_starts(pds) on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
-    scan; b0 runs over it in order while b1 runs over all of B.
+    scan; b0 runs over it in order, and within one b0 the first survivor in
+    elems order (ascending b1) is the witness.
 
-    A g = 1 candidate list depends only on (B, s_j, x1, b0), so it is built
-    once into tables[(s_j, x1)][b0], the first time any set of the batch
-    needs it, and read by every later set with the same pivot and filter.
+    With a unit pivot (inverse inv) and a unit x1 (inverse w) the filter is
+    a mask intersection.  a*s_j + b0 lies in B iff c = a + inv*b0 lies in
+    M_inv = {inv*b mod v : b in B}, and a*x1 + b0 lies in B iff
+    c + (w - inv)*b0 lies in M_w.  So the candidates of b0 are
+    a = c - inv*b0 for the bits c of M_inv & rotr(M_w, (w - inv)*b0 mod v),
+    one shift and one AND on v-bit integers.  Bits come out in c order, and
+    c = inv*b1, so the list is sorted by b1 = s_j*c to keep the witness.
+    M_r depends only on B and r, and is kept in tables[r] (held twice, so
+    that a shift reads a rotation).  The list depends only on (B, s_j, x1,
+    b0), so it is built once, the first time any set of the batch needs it,
+    and read by every later set with the same pivot and filter;
+    tables[(s_j, x1)] holds M_inv, M_w held twice, w - inv and the lists by
+    b0.  Otherwise (no unit pivot, no unit beside it, or |S| = 2, where
+    x1 = 0 and the filter passes every pair) the scan lists each pair's
+    lifts in b1 order.
     """
     v, elems = pds.v, pds.elems
     members = _member_set(elems)
@@ -229,29 +251,66 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = No
     inv = pow(sp // g, -1, step)
     others = [x for i, x in enumerate(s_norm) if i and i != j_pivot]
     # with no further element, filter on 0 itself: its image b0 is in B
-    x1 = others[0] if others else 0
-    rest = others[1:]
-    if g == 1:
-        per_b0 = {} if tables is None else tables.setdefault((sp, x1), {})
-    for b0 in starts:
-        if g == 1:
+    x1 = next((x for x in others if gcd(x, v) == 1), others[0] if others else 0)
+    rest = [x for x in others if x != x1]
+    if g == 1 and gcd(x1, v) == 1:
+        if tables is None:
+            tables = {}
+        shared = tables.get((sp, x1))
+        if shared is None:
+            w = pow(x1, -1, v)
+            shared = tables[sp, x1] = (_mask(tables, pds, inv) >> v, _mask(tables, pds, w), w - inv, {})
+        m_inv, m_w2, shift, per_b0 = shared
+        for b0 in starts:
             cands = per_b0.get(b0)
             if cands is None:
-                cands = per_b0[b0] = [
-                    a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members
-                ]
-        else:
-            cands = [
-                a
-                for b1 in elems
-                if not (d := b1 - b0) % g
-                for a in range(d // g * inv % step, v, step)
-                if (a * x1 + b0) % v in members
-            ]
+                hits = m_inv & (m_w2 >> shift * b0 % v)
+                cands = per_b0[b0] = _unit_candidates(hits, sp, inv * b0, v)
+            for a in cands:
+                if all((a * x + b0) % v in members for x in rest):
+                    return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
+        return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+    for b0 in starts:
+        cands = [
+            a
+            for b1 in elems
+            if not (d := b1 - b0) % g
+            for a in range(d // g * inv % step, v, step)
+            if (a * x1 + b0) % v in members
+        ]
         for a in cands:
             if gcd(a, v) == 1 and all((a * x + b0) % v in members for x in rest):
                 return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
     return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+
+
+def _unit_candidates(hits: int, sp: int, offset: int, v: int) -> list[int]:
+    """The units a = c - offset mod v for the bits c of hits, by ascending b1 = sp*c mod v."""
+    found = []
+    while hits:
+        c = hits.bit_length() - 1
+        hits ^= 1 << c
+        if gcd(a := (c - offset) % v, v) == 1:
+            found.append((sp * c % v, a))
+    found.sort()
+    return [a for _, a in found]
+
+
+def _mask(tables: dict, pds: Pds, r: int) -> int:
+    """M_r = {r*b mod v : b in B} held twice, at bits c and c + v, kept in tables[r].
+
+    So mask >> v is M_r, and the low v bits of mask >> k are rotr(M_r, k)
+    for 0 <= k < v.
+    """
+    mask = tables.get(r)
+    if mask is None:
+        v = pds.v
+        buf = bytearray((v + 7) >> 3)
+        for c in [r * b % v for b in pds.elems]:
+            buf[c >> 3] |= 1 << (c & 7)
+        mask = int.from_bytes(buf, "little")
+        mask = tables[r] = mask | mask << v
+    return mask
 
 
 def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
@@ -312,6 +371,8 @@ def fast_check_many(sets, q_max: int, source):
 
 def _check_input(s, q_max: int) -> tuple[int, ...]:
     s = tuple(sorted(s))
+    if not s:
+        raise ValueError("the empty set () has no element to check")
     if not is_sidon(s):
         raise ValueError(f"{s} is not a Sidon set")
     q_lo = max(2, len(s) - 1)

@@ -268,6 +268,8 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
     itself extends the flag list stays empty because nothing is contradicted.
     """
     base = tuple(sorted(s))
+    if not base:
+        raise ValueError("the base is the empty set (); it needs at least one element")
     if not is_sidon(base):
         raise ValueError(f"{base} is not a Sidon set")
     if target_size <= len(base):

@@ -11,6 +11,8 @@ from sidonpds.orbit import (
     NO_IMAGE,
     SKIP_COLLISION,
     SKIP_SIZE,
+    AffineWitness,
+    CheckOutcome,
     CheckReport,
     _best_pivot,
     _class_key,
@@ -91,6 +93,12 @@ def test_fast_check_rejects_non_sidon_and_bad_bound(source):
         fast_check((0, 1, 2, 4), 64, source)
     with pytest.raises(ValueError):
         fast_check(A, 2, source)
+
+
+def test_fast_check_rejects_the_empty_set(source):
+    for check in (lambda: fast_check((), 5, source), lambda: list(fast_check_many([(0, 1), ()], 5, source))):
+        with pytest.raises(ValueError, match=r"empty set \(\)"):
+            check()
 
 
 def test_missing_cache_is_recorded_not_silent():
@@ -507,7 +515,7 @@ def test_class_key_keeps_a_content_that_divides_v(source):
 def test_shared_tables_keep_every_outcome(source):
     # one table dict per order, shared by every set scanned against it
     sets = _random_sidon_sets()
-    for q in (5, 7, 8, 9, 11, 13, 16):
+    for q in (5, 7, 8, 9, 11, 13, 16, 101, 256, 317):
         pds = source.get(q)
         tables = {}
         for s in sets:
@@ -525,3 +533,96 @@ def test_witnesses_leave_the_member_cache_to_the_pds_sets(source):
     for _ in fast_check_many(sets, 250, source):
         pass
     assert _member_set.cache_info().misses == misses
+
+
+def _comprehension_pivot_scan(pds, s_norm, j_pivot, starts):
+    """The pivot scan as one candidate comprehension per (b0, b1) pair: the oracle of the mask scan.
+
+    Within one b0 the candidates come in b1 order (elems order), one per pair
+    when the pivot is a unit and its g lifts otherwise, filtered on the first
+    element beside the pivot.
+    """
+    v, elems = pds.v, pds.elems
+    members = set(elems)
+    sp = s_norm[j_pivot]
+    g = gcd(sp, v)
+    step = v // g
+    inv = pow(sp // g, -1, step)
+    others = [x for i, x in enumerate(s_norm) if i and i != j_pivot]
+    x1 = others[0] if others else 0
+    rest = others[1:]
+    for b0 in starts:
+        if g == 1:
+            cands = [a for b1 in elems if ((a := (b1 - b0) * inv % v) * x1 + b0) % v in members]
+        else:
+            cands = [
+                a
+                for b1 in elems
+                if not (d := b1 - b0) % g
+                for a in range(d // g * inv % step, v, step)
+                if (a * x1 + b0) % v in members
+            ]
+        for a in cands:
+            if gcd(a, v) == 1 and all((a * x + b0) % v in members for x in rest):
+                image = tuple(sorted((a * x + b0) % v for x in s_norm))
+                return CheckOutcome(EXTENDS, witness=AffineWitness(pds.q, v, a % v, b0 % v, image))
+    return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+
+def _random_sidon_set(rng, size, top):
+    while True:
+        s = tuple(sorted(rng.sample(range(top), size)))
+        if is_sidon(s):
+            return s
+
+
+def _unit_pivot_and_non_units(q, rng):
+    """A Sidon set (0, 1, f*k, ...) whose elements beside the unit 1 all share the factor f with v."""
+    v = q * q + q + 1
+    f = min(p for p in range(2, v + 1) if v % p == 0)
+    while True:
+        s = (0, 1, *sorted(f * k for k in rng.sample(range(1, 4 * q), rng.randint(1, 3))))
+        if is_sidon(s) and sidon_distinct_mod(s, v):
+            return s
+
+
+def test_mask_scan_matches_the_comprehension_scan(source):
+    rng = random.Random(1907)
+    paths = {"mask": 0, "fallback": 0}
+    kinds = set()
+
+    def compare(s, pds, starts, tables):
+        v = pds.v
+        s_norm = tuple((x - s[0]) % v for x in s)
+        j = _best_pivot(s_norm, v)
+        others = [x for i, x in enumerate(s_norm) if i and i != j]
+        unit = gcd(s_norm[j], v) == 1 and any(gcd(x, v) == 1 for x in others)
+        paths["mask" if unit else "fallback"] += 1
+        out = _pivot_scan(pds, s_norm, j, starts, tables)
+        assert out == _comprehension_pivot_scan(pds, s_norm, j, starts), (s, pds)
+        kinds.add(out.kind)
+
+    for q in range(2, 318):
+        if is_prime_power(q) is None:
+            continue
+        pds = source.get(q)
+        tables = {}
+        for size in 2 * [*range(2, min(7, q + 1) + 1)]:
+            s = _random_sidon_set(rng, size, 8 * q)
+            if sidon_distinct_mod(s, pds.v):
+                compare(s, pds, _scan_starts(pds), tables)
+                if q <= 64:
+                    compare(s, pds, pds.elems, tables)
+        if q in (16, 25, 37, 64):
+            for _ in range(10):
+                compare(_unit_pivot_and_non_units(q, rng), pds, _scan_starts(pds), tables)
+    for q in (5, 13, 37):
+        moved = _translate(source.get(q), 3)
+        assert _scan_starts(moved) == moved.elems
+        tables = {}
+        for s in _random_quadruples()[:40]:
+            if sidon_distinct_mod(s, moved.v):
+                compare(s, moved, moved.elems, tables)
+    for s, q in NO_UNIT_PIVOT:
+        compare(s, source.get(q), _scan_starts(source.get(q)), {})
+    assert kinds == {EXTENDS, NO_IMAGE}
+    assert paths["mask"] > 900 and paths["fallback"] > 300, paths

@@ -270,3 +270,8 @@ def test_superset_closure_with_the_base_outside_the_range(source):
     report = superset_closure_check(A, 5, 10, 64, source=source)
     assert report.precondition_ok
     assert report.count == 0 and report.violations == ()
+
+
+def test_superset_closure_rejects_an_empty_base(source):
+    with pytest.raises(ValueError, match=r"empty set \(\)"):
+        superset_closure_check((), 2, 5, 13, source=source)
