@@ -64,6 +64,9 @@ class DfsBudget:
     def __post_init__(self):
         if not self.time_limit_s > 0:  # NaN too: it would never pass the deadline
             raise ValueError("time_limit_s must be positive")
+        limit = self.node_limit
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
+            raise ValueError(f"node_limit must be None or an int >= 1, not {limit!r}")
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ and is never divided out: 3*{0,1,3,11} collides mod 57 while {0,1,3,11}
 does not.  A set whose key had no image at this order is recorded as ruled
 out without a scan.  An embedding is never shared, because its witness
 (a, b) belongs to the set: such a set runs its own scan, which returns the
-witness fast_check returns.  Tables: with a unit pivot s_j and a unit
+witness fast_check returns.  Tables: B's member set and the scan starts
+are taken once per order (ScanTables).  With a unit pivot s_j and a unit
 filter element x1, the candidate list for a start b0 depends only on B,
 s_j, x1 and b0, so the scan builds it once per order for every set with
 that pivot and filter.  It is one mask intersection: with
@@ -57,8 +58,19 @@ M_r = {r*b mod v : b in B}, inv = s_j^{-1} and w = x1^{-1}, the maps with
 M_inv & rotr(M_w, (w - inv)*b0 mod v).  Bits come in c order, not b1
 order, so the list is sorted by b1 = s_j*c to keep the first witness of
 the scan over b1.  Without a unit pivot, or a unit beside it, or with
-|S| = 2, the scan lists each pair (b0, b1) instead.  Neither verdicts nor
-tables are kept across calls or orders.
+|S| = 2, the scan lists each pair (b0, b1) instead.
+
+Verdicts and tables are not kept across calls or orders.  What a set keeps
+across the orders of one call is what does not depend on v: its span (the
+largest minus the least element), its content g and both candidate class
+keys, the translate to 0 and the translate divided by g, each least with
+its reflection.  The key depends on v only through gcd(g, v): at v the
+batch takes the divided one iff gcd(g, v) = 1.  The span decides the
+collision test.  Every set of a batch is Sidon and its differences lie in
+(-span, span), so they are distinct and nonzero mod any v > 2*span, and
+there the batch tells the kernel to skip the test; at v = 2*span the
+differences span and -span meet.  A lone fast_extends_at_q call always
+runs the test, so a non-Sidon input still gets SKIP_COLLISION.
 """
 
 from __future__ import annotations
@@ -174,16 +186,19 @@ def _make_witness(pds: Pds, a, b, s_norm, members) -> AffineWitness:
     return AffineWitness(pds.q, v, a % v, b % v, image)
 
 
-def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcome:
+def fast_extends_at_q(
+    s, pds: Pds, *, tables: ScanTables | None = None, distinct: bool = False
+) -> CheckOutcome:
     """Decide whether some affine image of s lies inside pds.elems in Z_v, v = pds.v.
 
-    The order q and the modulus v are those of pds.  tables holds what
-    _pivot_scan builds for a unit pivot s_j and a unit filter element x1:
-    the masks M_r = {r*b mod v : b in B} under r, and under (s_j, x1) the
-    candidate list of each start b0, the bits of
-    M_inv & rotr(M_w, (w - inv)*b0 mod v).  Calls that pass the same dict
-    must pass the same pds; fast_check_many keeps one per order.  None
-    scans with a fresh dict.
+    The order q and the modulus v are those of pds.  Two keywords are the
+    batch's hand-off; a lone call leaves both at their defaults.  tables is
+    the ScanTables of pds, which fast_check_many builds once per order and
+    shares between the sets it scans there; None builds a fresh one.
+    distinct=True says the caller knows the differences of s are distinct
+    and nonzero mod v, so the collision test is skipped: fast_check_many
+    passes it where v > 2*span, since its sets are Sidon.  With the default
+    False every input is tested, and a non-Sidon s gets SKIP_COLLISION.
     """
     q, v = pds.q, pds.v
     s = tuple(s)
@@ -192,35 +207,60 @@ def fast_extends_at_q(s, pds: Pds, *, tables: dict | None = None) -> CheckOutcom
     # size reason is the one that explains why
     if n > q + 1:
         return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
-    if not sidon_distinct_mod(s, v):
+    if not distinct and not sidon_distinct_mod(s, v):
         return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
+    if tables is None:
+        tables = ScanTables(pds)
     if n == 1:
-        witness = _make_witness(pds, 1, pds.elems[0], (0,), _member_set(pds.elems))
+        witness = _make_witness(pds, 1, pds.elems[0], (0,), tables.members)
         return CheckOutcome(EXTENDS, witness=witness)
     s0 = s[0]
-    s_norm = tuple((x - s0) % v for x in s)
-    g = 0
-    for x in s_norm:
-        g = gcd(g, x)
-    g = gcd(g, v)
+    s_norm = tuple([(x - s0) % v for x in s])
+    # each element's gcd with v, read by the content, the pivot and the filter
+    gs = [gcd(x, v) for x in s_norm]
+    g = gcd(*gs)
     if g > 1:
         return coset_path(s_norm, pds, g)
-    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, v), _scan_starts(pds), tables)
+    return _pivot_scan(pds, s_norm, _best_pivot(gs), tables.starts, tables, gs)
 
 
-def _best_pivot(s_norm, v: int) -> int:
-    """Index of the first element with the smallest gcd with v: a unit if there is one."""
-    return min(range(1, len(s_norm)), key=lambda j: gcd(s_norm[j], v))
+class ScanTables:
+    """What the scans against one PDS share: B's member set, the scan starts and the masks.
+
+    members is frozenset(B) and starts is _scan_starts(pds).  masks holds
+    what _pivot_scan builds for a unit pivot s_j and a unit filter element
+    x1: M_r = {r*b mod v : b in B} under r, and under (s_j, x1) the
+    candidate list of each start b0, the bits of
+    M_inv & rotr(M_w, (w - inv)*b0 mod v).
+    """
+
+    __slots__ = ("members", "starts", "masks")
+
+    def __init__(self, pds: Pds):
+        self.members = _member_set(pds.elems)
+        self.starts = _scan_starts(pds)
+        self.masks: dict = {}
 
 
-def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = None) -> CheckOutcome:
+def _best_pivot(gs) -> int:
+    """Index of the first element with the smallest gcd with v: a unit if there is one.
+
+    gs[i] = gcd(s_norm[i], v); index 0 (the element 0) is never the pivot.
+    """
+    return min(range(1, len(gs)), key=gs.__getitem__)
+
+
+def _pivot_scan(
+    pds: Pds, s_norm, j_pivot: int, starts, tables: ScanTables | None = None, gs=None
+) -> CheckOutcome:
     """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1, b0 in starts and b1 in B.
 
     Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
     when g = gcd(s_j, v) divides b1 - b0, and then exactly for the g lifts of
     the reduced solution mod v/g.  Candidates are filtered on one further
     element x1, a unit mod v when S has one, so only the few survivors pay
-    for the unit test and the remaining elements.
+    for the unit test and the remaining elements.  gs holds each element's
+    gcd with v (None computes them).
 
     starts is _scan_starts(pds) on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
@@ -234,32 +274,36 @@ def _pivot_scan(pds: Pds, s_norm, j_pivot: int, starts, tables: dict | None = No
     a = c - inv*b0 for the bits c of M_inv & rotr(M_w, (w - inv)*b0 mod v),
     one shift and one AND on v-bit integers.  Bits come out in c order, and
     c = inv*b1, so the list is sorted by b1 = s_j*c to keep the witness.
-    M_r depends only on B and r, and is kept in tables[r] (held twice, so
-    that a shift reads a rotation).  The list depends only on (B, s_j, x1,
-    b0), so it is built once, the first time any set of the batch needs it,
-    and read by every later set with the same pivot and filter;
-    tables[(s_j, x1)] holds M_inv, M_w held twice, w - inv and the lists by
-    b0.  Otherwise (no unit pivot, no unit beside it, or |S| = 2, where
-    x1 = 0 and the filter passes every pair) the scan lists each pair's
-    lifts in b1 order.
+    M_r depends only on B and r, and is kept in tables.masks[r] (held
+    twice, so that a shift reads a rotation).  The list depends only on
+    (B, s_j, x1, b0), so it is built once, the first time any set of the
+    batch needs it, and read by every later set with the same pivot and
+    filter; tables.masks[(s_j, x1)] holds M_inv, M_w held twice, w - inv
+    and the lists by b0.  Otherwise (no unit pivot, no unit beside it, or
+    |S| = 2, where x1 = 0 and the filter passes every pair) the scan lists
+    each pair's lifts in b1 order.
     """
     v, elems = pds.v, pds.elems
-    members = _member_set(elems)
+    if tables is None:
+        tables = ScanTables(pds)
+    if gs is None:
+        gs = [gcd(x, v) for x in s_norm]
+    members = tables.members
     sp = s_norm[j_pivot]
-    g = gcd(sp, v)
+    g = gs[j_pivot]
     step = v // g
     inv = pow(sp // g, -1, step)
-    others = [x for i, x in enumerate(s_norm) if i and i != j_pivot]
+    others = [i for i in range(1, len(s_norm)) if i != j_pivot]
     # with no further element, filter on 0 itself: its image b0 is in B
-    x1 = next((x for x in others if gcd(x, v) == 1), others[0] if others else 0)
-    rest = [x for x in others if x != x1]
-    if g == 1 and gcd(x1, v) == 1:
-        if tables is None:
-            tables = {}
-        shared = tables.get((sp, x1))
+    i1 = next((i for i in others if gs[i] == 1), others[0] if others else 0)
+    x1 = s_norm[i1]
+    rest = [s_norm[i] for i in others if i != i1]
+    if g == 1 and gs[i1] == 1:
+        masks = tables.masks
+        shared = masks.get((sp, x1))
         if shared is None:
             w = pow(x1, -1, v)
-            shared = tables[sp, x1] = (_mask(tables, pds, inv) >> v, _mask(tables, pds, w), w - inv, {})
+            shared = masks[sp, x1] = (_mask(masks, pds, inv) >> v, _mask(masks, pds, w), w - inv, {})
         m_inv, m_w2, shift, per_b0 = shared
         for b0 in starts:
             cands = per_b0.get(b0)
@@ -296,20 +340,20 @@ def _unit_candidates(hits: int, sp: int, offset: int, v: int) -> list[int]:
     return [a for _, a in found]
 
 
-def _mask(tables: dict, pds: Pds, r: int) -> int:
-    """M_r = {r*b mod v : b in B} held twice, at bits c and c + v, kept in tables[r].
+def _mask(masks: dict, pds: Pds, r: int) -> int:
+    """M_r = {r*b mod v : b in B} held twice, at bits c and c + v, kept in masks[r].
 
     So mask >> v is M_r, and the low v bits of mask >> k are rotr(M_r, k)
     for 0 <= k < v.
     """
-    mask = tables.get(r)
+    mask = masks.get(r)
     if mask is None:
         v = pds.v
         buf = bytearray((v + 7) >> 3)
         for c in [r * b % v for b in pds.elems]:
             buf[c >> 3] |= 1 << (c & 7)
         mask = int.from_bytes(buf, "little")
-        mask = tables[r] = mask | mask << v
+        mask = masks[r] = mask | mask << v
     return mask
 
 
@@ -322,7 +366,8 @@ def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
     """
     if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
         return CheckOutcome(NO_IMAGE, reason="no eligible coset")
-    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, pds.v), _scan_starts(pds))
+    gs = [gcd(x, pds.v) for x in s_norm]
+    return _pivot_scan(pds, s_norm, _best_pivot(gs), _scan_starts(pds), gs=gs)
 
 
 def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
@@ -381,29 +426,39 @@ def _check_input(s, q_max: int) -> tuple[int, ...]:
     return s
 
 
-def _class_key(s, v: int) -> tuple[int, ...]:
-    """One representative of s under translation, reflection and division by a unit content mod v.
+def _set_data(s) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(span, g0, whole, divided): what the batch keeps of a sorted set s for every order.
 
-    All three are affine maps with a unit multiplier mod v, so every set
-    with the same key has the same fast_extends_at_q kind at this v.
+    With t = s - s[0], span is max(t) and g0 = gcd(t) is the content (0 for a
+    singleton).  whole and divided are the least of t, resp. t/g0, and its
+    reflection.  At v the class key is divided if gcd(g0, v) = 1 and whole
+    otherwise: translating, reflecting and dividing by a unit content are
+    affine maps with a unit multiplier mod v, so every set with the same key
+    has the same fast_extends_at_q kind at this v.
     """
     s0 = s[0]
-    t = [x - s0 for x in s]
-    g = gcd(*t)
-    if g > 1 and gcd(g, v) == 1:
-        t = [x // g for x in t]
+    t = s if s0 == 0 else tuple([x - s0 for x in s])
+    g0 = gcd(*t)
+    whole = _least_with_reflection(t)
+    divided = _least_with_reflection(tuple([x // g0 for x in t])) if g0 > 1 else whole
+    return t[-1], g0, whole, divided
+
+
+def _least_with_reflection(t: tuple[int, ...]) -> tuple[int, ...]:
+    """t itself when it is the lesser, so a normalized set often is its own key."""
     top = t[-1]
-    return tuple(min(t, [top - x for x in reversed(t)]))
+    return min(t, tuple([top - x for x in reversed(t)]))
 
 
 def _scan_batch(sets, q_max: int, source):
-    # index -> (set, checked, skipped): the set's report so far, appended to
-    # at each order where it is due (|S| <= q+1) and yielded once decided
-    live = {i: (s, [], []) for i, s in enumerate(sets)}
+    # index -> (set, checked, skipped, *_set_data(set)): the set's report so
+    # far, appended to at each order where it is due (|S| <= q+1) and yielded
+    # once decided, then its order-free data
+    live = {i: (s, [], [], *_set_data(s)) for i, s in enumerate(sets)}
     for q in range(2, q_max + 1):
         if not live:
             return
-        due = [i for i, (s, _, _) in live.items() if len(s) <= q + 1]
+        due = [i for i, data in live.items() if len(data[0]) <= q + 1]
         if not due:
             continue
         pp = is_prime_power(q)
@@ -417,14 +472,16 @@ def _scan_batch(sets, q_max: int, source):
         v = q * q + q + 1
         ruled_out_at = (q, v)
         ruled_out: set[tuple[int, ...]] = set()  # class keys with NO_IMAGE at q
-        tables: dict = {}
+        tables = ScanTables(pds)
         for i in due:
-            s, checked, skipped = live[i]
-            key = _class_key(s, v)
+            s, checked, skipped, span, g0, whole, divided = live[i]
+            key = divided if gcd(g0, v) == 1 else whole
             if key in ruled_out:
                 checked.append(ruled_out_at)
                 continue
-            outcome = fast_extends_at_q(s, pds, tables=tables)
+            # a Sidon set's differences lie in (-span, span), so they stay
+            # distinct and nonzero mod any v > 2*span
+            outcome = fast_extends_at_q(s, pds, tables=tables, distinct=v > 2 * span)
             if outcome.kind == EXTENDS:
                 del live[i]
                 yield i, CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
@@ -433,5 +490,5 @@ def _scan_batch(sets, q_max: int, source):
                 checked.append(ruled_out_at)
             else:
                 skipped.append((q, outcome.reason))
-    for i, (_, checked, skipped) in live.items():
+    for i, (_, checked, skipped, *_) in live.items():
         yield i, CheckReport(False, None, tuple(checked), tuple(skipped))

@@ -417,6 +417,14 @@ def test_independent_check_covers_non_prime_power_orders():
     assert [r.v for r in rep.runs] == [31, 43, 57]  # q = 6 is not a prime power, still searched
 
 
+@pytest.mark.parametrize("limit", [float("nan"), True, 2.5, 0, -5])
+def test_budget_rejects_a_node_limit_that_is_not_a_positive_int(limit):
+    # NaN fails every comparison and would mean no limit; True, 2.5, 0 and -5
+    # would end the search at an arbitrary node
+    with pytest.raises(ValueError, match="node_limit"):
+        DfsBudget(time_limit_s=30, node_limit=limit)
+
+
 def test_budget_rejects_nan_and_keeps_inf():
     # NaN fails every comparison, so a NaN deadline would never be passed
     with pytest.raises(ValueError):

@@ -14,11 +14,12 @@ from sidonpds.orbit import (
     AffineWitness,
     CheckOutcome,
     CheckReport,
+    ScanTables,
     _best_pivot,
-    _class_key,
     _member_set,
     _pivot_scan,
     _scan_starts,
+    _set_data,
     brute_force_at_q,
     coset_path,
     fast_check,
@@ -239,7 +240,7 @@ def test_coset_path_no_room_pigeonhole(source):
 def _full_scan(s, pds):
     """The pivot scan from every b0 of B: what the orbit starts must reproduce."""
     s_norm = tuple((x - s[0]) % pds.v for x in s)
-    return _pivot_scan(pds, s_norm, _best_pivot(s_norm, pds.v), starts=pds.elems)
+    return _pivot_scan(pds, s_norm, _best_pivot([gcd(x, pds.v) for x in s_norm]), starts=pds.elems)
 
 
 def _orbit(b, p, v):
@@ -470,6 +471,20 @@ def test_batch_raises_the_per_set_value_errors(source):
         assert str(single.value) == str(per_set.value)
 
 
+def _class_key(s, v: int) -> tuple[int, ...]:
+    """One representative of s under translation, reflection and division by a unit content mod v.
+
+    Computed anew at each v: the oracle of the key pair _set_data keeps.
+    """
+    s0 = s[0]
+    t = [x - s0 for x in s]
+    g = gcd(*t)
+    if g > 1 and gcd(g, v) == 1:
+        t = [x // g for x in t]
+    top = t[-1]
+    return tuple(min(t, [top - x for x in reversed(t)]))
+
+
 def _random_sidon_sets():
     """Seeded Sidon sets of size 2 to 6, some dilated by a factor of a cached v."""
     rng = random.Random(77)
@@ -497,6 +512,86 @@ def test_class_key_has_the_kernel_verdict_of_its_set(source):
     assert moved > 1000 and divided > 100
 
 
+def test_set_data_picks_the_class_key_at_every_cached_order():
+    # the batch keeps (span, g0, whole, divided) per set and takes divided
+    # iff gcd(g0, v) = 1: that is _class_key(s, v) at every order
+    vs = [q * q + q + 1 for q in range(2, 318) if is_prime_power(q)]
+    assert len(vs) == 83
+    sets = _random_sidon_sets() + list(iter_sidon_sets(30, 4))
+    divided = 0
+    for s in sets:
+        span, g0, whole, div = _set_data(s)
+        assert span == s[-1] - s[0]
+        for v in vs:
+            key = div if gcd(g0, v) == 1 else whole
+            assert key == _class_key(s, v), (s, v)
+            divided += key != whole
+    assert divided > 1000
+
+
+def test_sidon_differences_stay_distinct_mod_any_v_above_twice_the_span():
+    # what lets the batch skip the collision test where v > 2*span
+    rng = random.Random(2203)
+    for size in 3 * [*range(2, 8)]:
+        s = _random_sidon_set(rng, size, 60)
+        span = s[-1] - s[0]
+        for v in [*range(2 * span + 1, 2 * span + 40), *rng.sample(range(2 * span + 40, 200_000), 20)]:
+            assert sidon_distinct_mod(s, v), (s, v)
+        # tight: the differences span and -span meet at v = 2*span
+        assert not sidon_distinct_mod(s, 2 * span), s
+
+
+def test_kernel_keeps_the_collision_test_for_a_non_sidon_set(source):
+    # (0,1,2,4) is not Sidon (1 - 0 = 2 - 1), so v = 183 > 2*span proves nothing
+    pds = source.get(13)
+    for tables in (None, ScanTables(pds)):
+        out = fast_extends_at_q((0, 1, 2, 4), pds, tables=tables)
+        assert out == CheckOutcome(SKIP_COLLISION, reason="S has collision mod 183")
+
+
+def _sidon_sets_of_span(rng, span, size, count):
+    """count seeded Sidon sets (0, ..., span) of the given size, translated by 0 to 4."""
+    found = set()
+    for _ in range(20_000):
+        s = (0, *sorted(rng.sample(range(1, span), size - 2)), span)
+        if is_sidon(s):
+            found.add(s)
+            if len(found) == count:
+                break
+    return [tuple(x + shift for x in s) for s in sorted(found) for shift in [rng.randrange(5)]]
+
+
+def test_batch_matches_per_set_on_either_side_of_half_the_modulus(source):
+    # at v = 21, 31, 57 (q = 4, 5, 7) the spans 10/11, 15/16 and 28/29 sit
+    # just below and above v/2, where the batch stops skipping the collision test
+    rng = random.Random(4057)
+    cases = {
+        4: ((10, (4,)), (11, (4, 5))),
+        5: ((15, (4, 5)), (16, (4, 5))),
+        7: ((28, (6, 7)), (29, (6, 7))),
+    }  # q -> (span, sizes) pairs
+    sets, spans = [], []
+    for q, by_span in cases.items():
+        for span, sizes in by_span:
+            for size in sizes:
+                found = _sidon_sets_of_span(rng, span, size, 12)
+                assert found, (span, size)
+                sets += found
+                spans += [(q, span)] * len(found)
+    batch = _assert_batch_matches_per_set(sets, 8, source)
+    # each span reaches the kernel at its order, on both sides of the collision test
+    reached = {}
+    for i, r in batch.items():
+        q = spans[i][0]
+        at_q = (r.witness is not None and r.witness.q == q) or any(x[0] == q for x in r.checked + r.skipped)
+        reached[spans[i]] = reached.get(spans[i], 0) + at_q
+    assert all(reached.values()), reached
+    collided = {
+        spans[i] for i, r in batch.items() for _, reason in r.skipped if reason.startswith("S has collision")
+    }
+    assert collided & {(4, 11), (5, 16), (7, 29)}
+
+
 def test_class_key_keeps_a_content_that_divides_v(source):
     # (0,3,9,33) = 3A, and 3 divides v = 57 at q = 7: 3A collides mod 57
     # while A has no image, so dividing by 3 would share A's verdict wrongly
@@ -517,11 +612,11 @@ def test_shared_tables_keep_every_outcome(source):
     sets = _random_sidon_sets()
     for q in (5, 7, 8, 9, 11, 13, 16, 101, 256, 317):
         pds = source.get(q)
-        tables = {}
+        tables = ScanTables(pds)
         for s in sets:
             if len(s) <= q + 1:
                 assert fast_extends_at_q(s, pds, tables=tables) == fast_extends_at_q(s, pds), (s, q)
-        assert tables
+        assert tables.masks
 
 
 def test_witnesses_leave_the_member_cache_to_the_pds_sets(source):
@@ -593,7 +688,7 @@ def test_mask_scan_matches_the_comprehension_scan(source):
     def compare(s, pds, starts, tables):
         v = pds.v
         s_norm = tuple((x - s[0]) % v for x in s)
-        j = _best_pivot(s_norm, v)
+        j = _best_pivot([gcd(x, v) for x in s_norm])
         others = [x for i, x in enumerate(s_norm) if i and i != j]
         unit = gcd(s_norm[j], v) == 1 and any(gcd(x, v) == 1 for x in others)
         paths["mask" if unit else "fallback"] += 1
@@ -605,7 +700,7 @@ def test_mask_scan_matches_the_comprehension_scan(source):
         if is_prime_power(q) is None:
             continue
         pds = source.get(q)
-        tables = {}
+        tables = ScanTables(pds)
         for size in 2 * [*range(2, min(7, q + 1) + 1)]:
             s = _random_sidon_set(rng, size, 8 * q)
             if sidon_distinct_mod(s, pds.v):
@@ -618,11 +713,11 @@ def test_mask_scan_matches_the_comprehension_scan(source):
     for q in (5, 13, 37):
         moved = _translate(source.get(q), 3)
         assert _scan_starts(moved) == moved.elems
-        tables = {}
+        tables = ScanTables(moved)
         for s in _random_quadruples()[:40]:
             if sidon_distinct_mod(s, moved.v):
                 compare(s, moved, moved.elems, tables)
     for s, q in NO_UNIT_PIVOT:
-        compare(s, source.get(q), _scan_starts(source.get(q)), {})
+        compare(s, source.get(q), _scan_starts(source.get(q)), ScanTables(source.get(q)))
     assert kinds == {EXTENDS, NO_IMAGE}
     assert paths["mask"] > 900 and paths["fallback"] > 300, paths

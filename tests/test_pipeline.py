@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sidonpds import orbit
+from sidonpds.cache import enumeration_path, write_enumeration
 from sidonpds.dfs import enumerate_all_pds
 from sidonpds.pipeline import (
     BASE_CANDIDATES,
@@ -275,3 +277,13 @@ def test_superset_closure_with_the_base_outside_the_range(source):
 def test_superset_closure_rejects_an_empty_base(source):
     with pytest.raises(ValueError, match=r"empty set \(\)"):
         superset_closure_check((), 2, 5, 13, source=source)
+
+
+def test_density_n50_jsonl_matches_the_pinned_bytes(source, tmp_path):
+    # the N = 50 row of the README full reproduction, byte for byte
+    _, records = enumerate_sidon(50, 4, 250, source=source)
+    path = enumeration_path(50, 4, 250, tmp_path)
+    write_enumeration(records, path)
+    assert path.name == "size4_N50_qmax250_fast.jsonl"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f389cf62644046741e6e759f526dc32d04d311bf8d94d53a00809978d5087ae5"
