@@ -3,14 +3,16 @@
 A Sidon set S extends inside Z_v (v = q^2 + q + 1) iff a*S + b is a subset
 of the cached perfect difference set B for some unit a and shift b.  Shift S
 so that its first element is 0; an image then maps 0 to b0 = b and any other
-"pivot" element s_j to some b1 in B, with a*s_j = b1 - b0 (mod v) and
-b1 != b0 because a is a unit.  With g = gcd(s_j, v) that congruence has a
-solution only when g divides b1 - b0, and its solutions are the g lifts
-a_red + k*(v/g), k = 0..g-1, of a_red = ((b1 - b0)/g) * (s_j/g)^{-1} mod v/g.
-Scanning every pair (b0, b1) of B and keeping the unit lifts therefore meets
-every embedding whatever the pivot, and the remaining elements are
-membership tests.  The scan costs about |B|^2 candidates per modulus for any
-g; it takes the pivot with the smallest g, a unit whenever S has one.
+"pivot" element s_j to some b1 in B.  One identity gives every such
+condition.  For x with h = gcd(x, v) write x = h*x', m = x'^{-1} mod v/h
+and b0 = r + h*t with 0 <= r < h.  Then a*x + b0 = r + h*(a*x' + t) mod v,
+so {a : a*x + b0 in B} is v/h-periodic and its tile is m*R_r rotated by
+m*t in Z_{v/h}, where R_r = {(b - r)/h : b in B, b = r mod h}.  The maps
+that send 0 to b0 and both the pivot and one filter element x1 into B are
+the bits of one AND of two such tiles, whatever g = gcd(s_j, v) and
+gcd(x1, v) are.  Keeping the units among them meets every embedding, and
+the remaining elements are membership tests.  The scan takes the pivot
+with the smallest g, a unit whenever S has one.
 
 The outer loop over b0 runs over one start per multiplier orbit, not over
 all of B.  For q = p^m the characteristic p is a multiplier of the Singer
@@ -29,9 +31,9 @@ same witness (a, b).  Over the 83 cached orders up to q = 317 this leaves
 
 When every normalized element shares a factor g > 1 with v, an image lives
 inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
-can rule it out before any scan (the coset path).  An exhaustive (a, b) scan
-is kept as the oracle the tests compare the pivot scan against; the check
-itself never calls it.
+can rule it out before any scan (the coset path); past the count it runs
+the same scan.  An exhaustive (a, b) scan is kept as the oracle the tests
+compare the pivot scan against; the check itself never calls it.
 
 fast_check_many checks many sets at once, q-major, and fast_check is the
 batch of one.  At each order q every undecided set with |S| <= q+1 is due
@@ -48,17 +50,10 @@ and is never divided out: 3*{0,1,3,11} collides mod 57 while {0,1,3,11}
 does not.  A set whose key had no image at this order is recorded as ruled
 out without a scan.  An embedding is never shared, because its witness
 (a, b) belongs to the set: such a set runs its own scan, which returns the
-witness fast_check returns.  Tables: B's member set and the scan starts
-are taken once per order (ScanTables).  With a unit pivot s_j and a unit
-filter element x1, the candidate list for a start b0 depends only on B,
-s_j, x1 and b0, so the scan builds it once per order for every set with
-that pivot and filter.  It is one mask intersection: with
-M_r = {r*b mod v : b in B}, inv = s_j^{-1} and w = x1^{-1}, the maps with
-0 -> b0 that send s_j and x1 into B are a = c - inv*b0 for the bits c of
-M_inv & rotr(M_w, (w - inv)*b0 mod v).  Bits come in c order, not b1
-order, so the list is sorted by b1 = s_j*c to keep the first witness of
-the scan over b1.  Without a unit pivot, or a unit beside it, or with
-|S| = 2, the scan lists each pair (b0, b1) instead.
+witness fast_check returns.  Tables: B's member set, the scan starts and
+the tiles are taken once per order (ScanTables).  The candidate list of a
+start b0 depends only on B, the pivot s_j, the filter x1 and b0, so the
+scan builds it once per order for every set with that pivot and filter.
 
 Verdicts and tables are not kept across calls or orders.  What a set keeps
 across the orders of one call is what does not depend on v: its span (the
@@ -228,10 +223,9 @@ class ScanTables:
     """What the scans against one PDS share: B's member set, the scan starts and the masks.
 
     members is frozenset(B) and starts is _scan_starts(pds).  masks holds
-    what _pivot_scan builds for a unit pivot s_j and a unit filter element
-    x1: M_r = {r*b mod v : b in B} under r, and under (s_j, x1) the
-    candidate list of each start b0, the bits of
-    M_inv & rotr(M_w, (w - inv)*b0 mod v).
+    what _pivot_scan builds: under (h, m, r, width) a tile of _tile, and
+    under (s_j, x1) what one pivot and filter share, their tiles by residue
+    and the candidate list of each start b0.
     """
 
     __slots__ = ("members", "starts", "masks")
@@ -253,108 +247,109 @@ def _best_pivot(gs) -> int:
 def _pivot_scan(
     pds: Pds, s_norm, j_pivot: int, starts, tables: ScanTables | None = None, gs=None
 ) -> CheckOutcome:
-    """Try every map with 0 -> b0 and s_norm[j_pivot] -> b1, b0 in starts and b1 in B.
+    """Try every map with 0 -> b0 and s_norm[j_pivot] -> B, b0 in starts, in the order of b1.
 
-    Complete for any nonzero pivot: a solves a*s_j = b1 - b0 (mod v) only
-    when g = gcd(s_j, v) divides b1 - b0, and then exactly for the g lifts of
-    the reduced solution mod v/g.  Candidates are filtered on one further
-    element x1, a unit mod v when S has one, so only the few survivors pay
-    for the unit test and the remaining elements.  gs holds each element's
-    gcd with v (None computes them).
+    One kernel for any pivot s_j, g = gcd(s_j, v), and any filter element
+    x1, h = gcd(x1, v): the first unit beside the pivot if S has one, and 0
+    itself (h = v, every a passes) when |S| = 2.  By the identity of the
+    module docstring, with m_g = (s_j/g)^{-1} mod v/g, b0 = r_g + g*t_g and
+    likewise m_h, r_h, t_h for x1, a*s_j + b0 lies in B iff
+    c = a + m_g*t_g lies in the tile m_g*R_{r_g} of Z_{v/g}, repeated; so
+    in c the pivot's tile is fixed for each residue r_g.  a*x1 + b0 lies in
+    B iff c + (m_h*t_h - m_g*t_g) mod v/h lies in the filter's tile.  The
+    candidates of b0 are therefore the bits c of one AND, the pivot's tile
+    with the filter's tile shifted right, and a = c - m_g*t_g mod v.  Both
+    tiles have period dividing v, so the AND repeats with the period
+    p = lcm(v/g, v/h), a divisor of v: the pivot's tile is held p bits
+    long, the filter's p + v/h bits, and each bit c < p stands for
+    c, c + p, ... below v.  With g = h = 1, p = v and this is the mask
+    intersection M_inv & rotr(M_w, (w - inv)*b0 mod v) of a unit pivot and
+    filter, one shift and one AND on v-bit integers per start.  Only the
+    unit candidates pay for the remaining elements.  gs holds each
+    element's gcd with v (None computes them).
 
     starts is _scan_starts(pds) on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
-    scan; b0 runs over it in order, and within one b0 the first survivor in
-    elems order (ascending b1) is the witness.
-
-    With a unit pivot (inverse inv) and a unit x1 (inverse w) the filter is
-    a mask intersection.  a*s_j + b0 lies in B iff c = a + inv*b0 lies in
-    M_inv = {inv*b mod v : b in B}, and a*x1 + b0 lies in B iff
-    c + (w - inv)*b0 lies in M_w.  So the candidates of b0 are
-    a = c - inv*b0 for the bits c of M_inv & rotr(M_w, (w - inv)*b0 mod v),
-    one shift and one AND on v-bit integers.  Bits come out in c order, and
-    c = inv*b1, so the list is sorted by b1 = s_j*c to keep the witness.
-    M_r depends only on B and r, and is kept in tables.masks[r] (held
-    twice, so that a shift reads a rotation).  The list depends only on
-    (B, s_j, x1, b0), so it is built once, the first time any set of the
-    batch needs it, and read by every later set with the same pivot and
-    filter; tables.masks[(s_j, x1)] holds M_inv, M_w held twice, w - inv
-    and the lists by b0.  Otherwise (no unit pivot, no unit beside it, or
-    |S| = 2, where x1 = 0 and the filter passes every pair) the scan lists
-    each pair's lifts in b1 order.
+    scan; b0 runs over it in order.  Within one b0 the candidates are
+    sorted by (b1, a), the order of a scan over b1 in elems and then over
+    the g solutions a of each b1, so the first survivor is the witness that
+    scan returns.  b1 = a*s_j + b0 = r_g + s_j*c mod v, and b1 >= r_g
+    because b1 = r_g mod g, so s_j*c mod v = b1 - r_g sorts as b1 does.
+    The tiles depend only on B, the element and the residue (_tile), and
+    the list of b0 only on (B, s_j, x1, b0).  tables.masks[(s_j, x1)] holds
+    the tiles by residue and the lists by b0, each built the first time any
+    set of the batch needs it and read by every later set with that pivot
+    and filter.
     """
-    v, elems = pds.v, pds.elems
+    v = pds.v
     if tables is None:
         tables = ScanTables(pds)
     if gs is None:
         gs = [gcd(x, v) for x in s_norm]
-    members = tables.members
+    members, masks = tables.members, tables.masks
     sp = s_norm[j_pivot]
-    g = gs[j_pivot]
-    step = v // g
-    inv = pow(sp // g, -1, step)
     others = [i for i in range(1, len(s_norm)) if i != j_pivot]
     # with no further element, filter on 0 itself: its image b0 is in B
     i1 = next((i for i in others if gs[i] == 1), others[0] if others else 0)
     x1 = s_norm[i1]
     rest = [s_norm[i] for i in others if i != i1]
-    if g == 1 and gs[i1] == 1:
-        masks = tables.masks
-        shared = masks.get((sp, x1))
-        if shared is None:
-            w = pow(x1, -1, v)
-            shared = masks[sp, x1] = (_mask(masks, pds, inv) >> v, _mask(masks, pds, w), w - inv, {})
-        m_inv, m_w2, shift, per_b0 = shared
-        for b0 in starts:
-            cands = per_b0.get(b0)
-            if cands is None:
-                hits = m_inv & (m_w2 >> shift * b0 % v)
-                cands = per_b0[b0] = _unit_candidates(hits, sp, inv * b0, v)
-            for a in cands:
-                if all((a * x + b0) % v in members for x in rest):
-                    return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
-        return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+    shared = masks.get((sp, x1))
+    if shared is None:
+        g, h = gs[j_pivot], gs[i1]
+        nh = v // h
+        mg, mh = pow(sp // g, -1, v // g), pow(x1 // h, -1, nh)
+        # the hits repeat with period lcm(v/g, v/h) = v/gcd(g, h)
+        shared = masks[sp, x1] = (g, mg, h, nh, mh, v // gcd(g, h), {}, {}, {})
+    g, mg, h, nh, mh, period, pivots, filters, per_b0 = shared
     for b0 in starts:
-        cands = [
-            a
-            for b1 in elems
-            if not (d := b1 - b0) % g
-            for a in range(d // g * inv % step, v, step)
-            if (a * x1 + b0) % v in members
-        ]
-        for a in cands:
-            if gcd(a, v) == 1 and all((a * x + b0) % v in members for x in rest):
+        cands = per_b0.get(b0)
+        if cands is None:
+            rg, rh, off = b0 % g, b0 % h, mg * (b0 // g)
+            if (pivot := pivots.get(rg)) is None:
+                pivot = pivots[rg] = _tile(masks, pds, g, mg, rg, period)
+            if (tile := filters.get(rh)) is None:
+                tile = filters[rh] = _tile(masks, pds, h, mh, rh, period + nh)
+            hits = pivot & (tile >> (mh * (b0 // h) - off) % nh)
+            found = []
+            while hits:
+                c0 = hits.bit_length() - 1
+                hits ^= 1 << c0
+                for c in range(c0, v, period):
+                    if gcd(a := (c - off) % v, v) == 1:
+                        found.append((sp * c % v, a))
+            cands = per_b0[b0] = sorted(found)
+        for _, a in cands:
+            for x in rest:
+                if (a * x + b0) % v not in members:
+                    break
+            else:
                 return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
     return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
 
 
-def _unit_candidates(hits: int, sp: int, offset: int, v: int) -> list[int]:
-    """The units a = c - offset mod v for the bits c of hits, by ascending b1 = sp*c mod v."""
-    found = []
-    while hits:
-        c = hits.bit_length() - 1
-        hits ^= 1 << c
-        if gcd(a := (c - offset) % v, v) == 1:
-            found.append((sp * c % v, a))
-    found.sort()
-    return [a for _, a in found]
+def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
+    """m*R_r in Z_n, n = v/h, repeated to width bits, kept in masks[h, m, r, width].
 
-
-def _mask(masks: dict, pds: Pds, r: int) -> int:
-    """M_r = {r*b mod v : b in B} held twice, at bits c and c + v, kept in masks[r].
-
-    So mask >> v is M_r, and the low v bits of mask >> k are rotr(M_r, k)
-    for 0 <= k < v.
+    R_r = {(b - r)/h : b in B, b = r mod h}.  Bit i is set iff i mod n lies
+    in m*R_r.  So for a multiple p of n, the low p bits of the tile of width
+    p + n shifted right by k, 0 <= k < n, are the tile of width p rotated
+    by k.
     """
-    mask = masks.get(r)
-    if mask is None:
-        v = pds.v
-        buf = bytearray((v + 7) >> 3)
-        for c in [r * b % v for b in pds.elems]:
+    key = (h, m, r, width)
+    tile = masks.get(key)
+    if tile is None:
+        n = pds.v // h
+        buf = bytearray((n + 7) >> 3)
+        for c in [m * (b // h) % n for b in pds.elems if b % h == r]:
             buf[c >> 3] |= 1 << (c & 7)
-        mask = int.from_bytes(buf, "little")
-        mask = masks[r] = mask | mask << v
-    return mask
+        tile, w = int.from_bytes(buf, "little"), n
+        while w < width:
+            tile |= tile << w
+            w *= 2
+        if w > width:
+            tile &= (1 << width) - 1
+        masks[key] = tile
+    return tile
 
 
 def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
@@ -455,10 +450,12 @@ def _scan_batch(sets, q_max: int, source):
     # far, appended to at each order where it is due (|S| <= q+1) and yielded
     # once decided, then its order-free data
     live = {i: (s, [], [], *_set_data(s)) for i, s in enumerate(sets)}
+    largest = max(map(len, sets), default=0)
     for q in range(2, q_max + 1):
         if not live:
             return
-        due = [i for i, data in live.items() if len(data[0]) <= q + 1]
+        # once q + 1 reaches the largest set, every live set is due
+        due = list(live) if q + 1 >= largest else [i for i, d in live.items() if len(d[0]) <= q + 1]
         if not due:
             continue
         pp = is_prime_power(q)

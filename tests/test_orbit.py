@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -20,6 +21,7 @@ from sidonpds.orbit import (
     _pivot_scan,
     _scan_starts,
     _set_data,
+    _tile,
     brute_force_at_q,
     coset_path,
     fast_check,
@@ -680,18 +682,36 @@ def _unit_pivot_and_non_units(q, rng):
             return s
 
 
+def _divisor_built_set(rng, divisors, v, size):
+    """(0, d1*k1, ...) with each d a random divisor of v below v, the differences distinct mod v."""
+    while True:
+        s = {0, *(d * rng.randrange(1, v // d) for d in rng.choices(divisors, k=size - 1))}
+        if len(s) == size and sidon_distinct_mod(s, v):
+            return tuple(sorted(s))
+
+
+def _scan_case(s_norm, v) -> str:
+    """Which pivot g and filter h the scan of s_norm meets: the cases the mask kernel unifies."""
+    if len(s_norm) == 2:
+        return "|S| = 2"
+    gs = [gcd(x, v) for x in s_norm]
+    j = _best_pivot(gs)
+    if gs[j] > 1:
+        return "g > 1"
+    others = [gs[i] for i in range(1, len(s_norm)) if i != j]
+    return "g = h = 1" if 1 in others else "g = 1 < h"
+
+
 def test_mask_scan_matches_the_comprehension_scan(source):
     rng = random.Random(1907)
-    paths = {"mask": 0, "fallback": 0}
+    paths = Counter()
     kinds = set()
 
     def compare(s, pds, starts, tables):
         v = pds.v
         s_norm = tuple((x - s[0]) % v for x in s)
         j = _best_pivot([gcd(x, v) for x in s_norm])
-        others = [x for i, x in enumerate(s_norm) if i and i != j]
-        unit = gcd(s_norm[j], v) == 1 and any(gcd(x, v) == 1 for x in others)
-        paths["mask" if unit else "fallback"] += 1
+        paths[_scan_case(s_norm, v)] += 1
         out = _pivot_scan(pds, s_norm, j, starts, tables)
         assert out == _comprehension_pivot_scan(pds, s_norm, j, starts), (s, pds)
         kinds.add(out.kind)
@@ -700,13 +720,21 @@ def test_mask_scan_matches_the_comprehension_scan(source):
         if is_prime_power(q) is None:
             continue
         pds = source.get(q)
+        v = pds.v
         tables = ScanTables(pds)
         for size in 2 * [*range(2, min(7, q + 1) + 1)]:
             s = _random_sidon_set(rng, size, 8 * q)
-            if sidon_distinct_mod(s, pds.v):
+            if sidon_distinct_mod(s, v):
                 compare(s, pds, _scan_starts(pds), tables)
                 if q <= 64:
                     compare(s, pds, pds.elems, tables)
+        # every pivot and filter gcd: elements built from the divisors of v
+        divisors = [d for d in range(1, isqrt(v) + 1) if v % d == 0]
+        divisors += [v // d for d in divisors[1:]]
+        for size in range(2, min(6, q) + 1) if len(divisors) > 1 else (2,):
+            s = _divisor_built_set(rng, divisors, v, size)
+            compare(s, pds, _scan_starts(pds), tables)
+            compare(s, pds, pds.elems, tables)
         if q in (16, 25, 37, 64):
             for _ in range(10):
                 compare(_unit_pivot_and_non_units(q, rng), pds, _scan_starts(pds), tables)
@@ -720,4 +748,37 @@ def test_mask_scan_matches_the_comprehension_scan(source):
     for s, q in NO_UNIT_PIVOT:
         compare(s, source.get(q), _scan_starts(source.get(q)), ScanTables(source.get(q)))
     assert kinds == {EXTENDS, NO_IMAGE}
-    assert paths["mask"] > 900 and paths["fallback"] > 300, paths
+    # every case the kernel unifies is met, each at least this often with this seed
+    least = {"g = h = 1": 900, "g = 1 < h": 300, "g > 1": 250, "|S| = 2": 300}
+    assert all(paths[case] > count for case, count in least.items()), paths
+
+
+def _bits(mask: int) -> set[int]:
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def test_tile_is_the_preimage_of_b_under_every_map_x(source):
+    # for every x (0 too: the filter of a pair) and every b0 in B, the
+    # kernel's tile read either way is {a : a*x + b0 in B}, worked out here
+    # directly; the small orders meet every divisor h = gcd(x, v) of their v
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        pds = source.get(q)
+        v, members = pds.v, set(pds.elems)
+        masks = {}
+        for x in range(v):
+            h = gcd(x, v)
+            n = v // h
+            m = pow(x // h, -1, n)
+            for b0 in pds.elems:
+                want = {a for a in range(v) if (a * x + b0) % v in members}
+                t = b0 // h
+                tile = _tile(masks, pds, h, m, b0 % h, v + n)
+                assert tile < 1 << v + n
+                # the filter's reading: rotated by m*t, the low v bits
+                assert _bits(tile >> m * t % n & (1 << v) - 1) == want, (q, x, b0)
+                # the pivot's reading: the first v bits, in c = a + m*t
+                pivot = _tile(masks, pds, h, m, b0 % h, v)
+                assert {(c - m * t) % v for c in _bits(pivot)} == want, (q, x, b0)
+                # a shorter width, such as a pair's period p or p + n, is a prefix
+                for width in range(n, v + n, n):
+                    assert _tile(masks, pds, h, m, b0 % h, width) == tile & (1 << width) - 1

@@ -287,3 +287,22 @@ def test_density_n50_jsonl_matches_the_pinned_bytes(source, tmp_path):
     assert path.name == "size4_N50_qmax250_fast.jsonl"
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "f389cf62644046741e6e759f526dc32d04d311bf8d94d53a00809978d5087ae5"
+
+
+def test_size3_row_n200_extends_at_every_set(source):
+    # the paper's other side of s = 4: every Sidon 3-set extends.  A count
+    # that shares no code with sidonpds: {0, a, b} with 0 < a < b <= 200 is
+    # Sidon iff its differences a, b - a, b are distinct, that is iff b != 2a
+    n = 200
+    assert sum(b != 2 * a for a, b in combinations(range(1, n + 1), 2)) == n * (n - 1) // 2 - n // 2
+    row, records = enumerate_sidon(n, 3, 317, source=source)
+    assert row.total == len(records) == 19_800
+    assert row.extending == row.total and row.non_extending == 0
+    latest = max(r.q_witness for r in records)
+    assert latest == 13
+    late = [r.elems for r in records if r.q_witness == latest]
+    assert late == [(0, 28, 105), (0, 35, 154), (0, 77, 105), (0, 119, 154)]
+    # the latest first witness is not a miss of the scan at a smaller order
+    for s in late:
+        for q in (2, 3, 4, 5, 7, 8, 9, 11):
+            assert orbit.brute_force_at_q(s, source.get(q)).kind == orbit.NO_IMAGE, (s, q)
