@@ -163,6 +163,10 @@ def read_enumeration(path) -> list[EnumerationRecord]:
 
     Nothing in the pipeline reads its own output back; this stays as the
     format's reader next to its writer, and the round-trip tests use it.
+    As load_pds does for cache entries, a value of the wrong JSON type is
+    not coerced: set must be a list of integers, extends a boolean,
+    q_witness an integer or null and q_max an integer (a boolean is not an
+    integer here), or the line is malformed.
     """
     out = []
     with open(path) as fh:
@@ -172,12 +176,13 @@ def read_enumeration(path) -> list[EnumerationRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                rec = EnumerationRecord(
-                    elems=tuple(int(x) for x in obj["set"]),
-                    extends=bool(obj["extends"]),
-                    q_witness=None if obj["q_witness"] is None else int(obj["q_witness"]),
-                    q_max=int(obj["q_max"]),
-                )
+                elems, extends, q_witness, q_max = (obj[key] for key in ("set", "extends", "q_witness", "q_max"))
+                if not (type(elems) is list and type(extends) is bool
+                        and all(type(x) is int for x in (*elems, q_max))
+                        and (q_witness is None or type(q_witness) is int)):
+                    raise ValueError("malformed record (set needs JSON integers, extends a boolean, "
+                                     "q_witness an integer or null, q_max an integer)")
+                rec = EnumerationRecord(tuple(elems), extends, q_witness, q_max)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             out.append(rec)

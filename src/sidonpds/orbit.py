@@ -32,8 +32,10 @@ same witness (a, b).  Over the 83 cached orders up to q = 317 this leaves
 When every normalized element shares a factor g > 1 with v, an image lives
 inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
 can rule it out before any scan (the coset path); past the count it runs
-the same scan.  An exhaustive (a, b) scan is kept as the oracle the tests
-compare the pivot scan against; the check itself never calls it.
+the same scan, on the tables of the order (ScanTables), so a batch shares
+them with its other scans.  An exhaustive (a, b) scan is kept as the
+oracle the tests compare the pivot scan against; the check itself never
+calls it.
 
 fast_check_many checks many sets at once, q-major, and fast_check is the
 batch of one.  At each order q every undecided set with |S| <= q+1 is due
@@ -56,16 +58,22 @@ start b0 depends only on B, the pivot s_j, the filter x1 and b0, so the
 scan builds it once per order for every set with that pivot and filter.
 
 Verdicts and tables are not kept across calls or orders.  What a set keeps
-across the orders of one call is what does not depend on v: its span (the
-largest minus the least element), its content g and both candidate class
-keys, the translate to 0 and the translate divided by g, each least with
-its reflection.  The key depends on v only through gcd(g, v): at v the
-batch takes the divided one iff gcd(g, v) = 1.  The span decides the
-collision test.  Every set of a batch is Sidon and its differences lie in
-(-span, span), so they are distinct and nonzero mod any v > 2*span, and
-there the batch tells the kernel to skip the test; at v = 2*span the
-differences span and -span meet.  A lone fast_extends_at_q call always
-runs the test, so a non-Sidon input still gets SKIP_COLLISION.
+across the orders of one call is what does not depend on v: its content g,
+both candidate class keys, the translate to 0 and the translate divided by
+g, each least with its reflection, and its clash mask.  The key depends on
+v only through gcd(g, v): at v the batch takes the divided one iff
+gcd(g, v) = 1.  The clash mask decides the collision test.  Every set of a
+batch is Sidon, so its positive differences d are distinct integers, and
+its signed differences +-d meet mod v, or one is 0 mod v, iff v divides
+some d, some d1 - d2 with d1 > d2 (d1 = d2 or -d1 = -d2 mod v) or some
+d1 + d2, d1 = d2 included (d1 = -d2 mod v).  The clash mask has bit e set
+for every such e, all in [1, 2*span], so one AND against the multiples of
+v settles the collision, exactly, at every v >= 2; past 2*span no multiple
+of v is left, and there a set never collides.  The mask is 2*span + 1 bits
+long, so only a set with 2*span at most the largest v of the call gets one;
+a wider set is tested with sidon_distinct_mod at each order.  Either way
+the kernel gets distinct=True and only scans.  A lone fast_extends_at_q
+call always runs the test, so a non-Sidon input still gets SKIP_COLLISION.
 """
 
 from __future__ import annotations
@@ -124,6 +132,10 @@ class CheckReport:
     witness: AffineWitness | None
     checked: tuple[tuple[int, int], ...]  # (q, v) pairs ruled out
     skipped: tuple[tuple[int, str], ...]  # (q, reason) pairs not decided
+
+
+# the outcome of every scan that meets no embedding: frozen, so one is shared
+_NO_IMAGE = CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
 
 
 class PdsSource:
@@ -191,8 +203,11 @@ def fast_extends_at_q(
     the ScanTables of pds, which fast_check_many builds once per order and
     shares between the sets it scans there; None builds a fresh one.
     distinct=True says the caller knows the differences of s are distinct
-    and nonzero mod v, so the collision test is skipped: fast_check_many
-    passes it where v > 2*span, since its sets are Sidon.  With the default
+    and nonzero mod v, so the collision test is skipped.  fast_check_many
+    passes it for every set it hands over: it has already settled each
+    set's collision, with the set's clash mask, which for a Sidon set is
+    exact at every v >= 2, or for a set too wide for a mask with
+    sidon_distinct_mod (see the module docstring).  With the default
     False every input is tested, and a non-Sidon s gets SKIP_COLLISION.
     """
     q, v = pds.q, pds.v
@@ -215,7 +230,7 @@ def fast_extends_at_q(
     gs = [gcd(x, v) for x in s_norm]
     g = gcd(*gs)
     if g > 1:
-        return coset_path(s_norm, pds, g)
+        return coset_path(s_norm, pds, g, tables=tables)
     return _pivot_scan(pds, s_norm, _best_pivot(gs), tables.starts, tables, gs)
 
 
@@ -241,7 +256,7 @@ def _best_pivot(gs) -> int:
 
     gs[i] = gcd(s_norm[i], v); index 0 (the element 0) is never the pivot.
     """
-    return min(range(1, len(gs)), key=gs.__getitem__)
+    return gs.index(min(gs[1:]), 1)
 
 
 def _pivot_scan(
@@ -288,14 +303,15 @@ def _pivot_scan(
         gs = [gcd(x, v) for x in s_norm]
     members, masks = tables.members, tables.masks
     sp = s_norm[j_pivot]
-    others = [i for i in range(1, len(s_norm)) if i != j_pivot]
-    # with no further element, filter on 0 itself: its image b0 is in B
-    i1 = next((i for i in others if gs[i] == 1), others[0] if others else 0)
-    x1 = s_norm[i1]
-    rest = [s_norm[i] for i in others if i != i1]
+    # the elements beside 0 and the pivot: the filter x1 is the first unit
+    # among them, else the first of them, else 0 itself, whose image b0 is in B
+    rest = list(s_norm[1:])
+    hs = gs[1:]
+    del rest[j_pivot - 1], hs[j_pivot - 1]
+    x1 = rest.pop(hs.index(1) if 1 in hs else 0) if rest else 0
     shared = masks.get((sp, x1))
     if shared is None:
-        g, h = gs[j_pivot], gs[i1]
+        g, h = gs[j_pivot], gcd(x1, v)
         nh = v // h
         mg, mh = pow(sp // g, -1, v // g), pow(x1 // h, -1, nh)
         # the hits repeat with period lcm(v/g, v/h) = v/gcd(g, h)
@@ -324,7 +340,7 @@ def _pivot_scan(
                     break
             else:
                 return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b0, s_norm, members))
-    return CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+    return _NO_IMAGE
 
 
 def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
@@ -352,17 +368,20 @@ def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
     return tile
 
 
-def coset_path(s_norm, pds: Pds, g: int) -> CheckOutcome:
+def coset_path(s_norm, pds: Pds, g: int, *, tables: ScanTables | None = None) -> CheckOutcome:
     """Pivot scan for an s_norm whose elements all share the factor g with v = pds.v.
 
     Any image a*S + b stays inside the coset b + g*Z_v, so only a coset where
     the PDS has at least |S| elements can host one; when no coset has room
-    the answer needs no scan.
+    the answer needs no scan.  tables is the ScanTables of pds, as in
+    fast_extends_at_q, so the scan shares its starts and masks.
     """
     if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
         return CheckOutcome(NO_IMAGE, reason="no eligible coset")
+    if tables is None:
+        tables = ScanTables(pds)
     gs = [gcd(x, pds.v) for x in s_norm]
-    return _pivot_scan(pds, s_norm, _best_pivot(gs), _scan_starts(pds), gs=gs)
+    return _pivot_scan(pds, s_norm, _best_pivot(gs), tables.starts, tables, gs)
 
 
 def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
@@ -439,6 +458,36 @@ def _set_data(s) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     return t[-1], g0, whole, divided
 
 
+def _clash_mask(s) -> int:
+    """The clash mask of s: bit e set for every positive difference d, d1 - d2 > 0 and d1 + d2 (2*d included).
+
+    For a Sidon set s, sidon_distinct_mod(s, v) holds iff no multiple of v
+    is set, at every v >= 2 (module docstring).  Every bit lies in
+    [1, 2*span], so the integer is 2*span + 1 bits long.
+    """
+    ds = [y - x for i, x in enumerate(s) for y in s[i + 1:]]
+    dm = 0
+    for d in ds:
+        dm |= 1 << d
+    # dm << d sets each d1 + d, dm >> d each d1 - d and, from d itself, bit 0
+    clash = dm
+    for d in ds:
+        clash |= dm << d | dm >> d
+    return clash & ~1
+
+
+def _multiples(v: int, top: int) -> int:
+    """An integer with bit e set for every multiple e of v in [v, top] (and some past top); 0 if v > top."""
+    if v > top:
+        return 0
+    # m holds v, 2v, ..., width; each doubling is one shift, so the work is linear in top
+    m, width = 1 << v, v
+    while width < top:
+        m |= m << width
+        width *= 2
+    return m
+
+
 def _least_with_reflection(t: tuple[int, ...]) -> tuple[int, ...]:
     """t itself when it is the lesser, so a normalized set often is its own key."""
     top = t[-1]
@@ -446,10 +495,31 @@ def _least_with_reflection(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _scan_batch(sets, q_max: int, source):
-    # index -> (set, checked, skipped, *_set_data(set)): the set's report so
-    # far, appended to at each order where it is due (|S| <= q+1) and yielded
-    # once decided, then its order-free data
-    live = {i: (s, [], [], *_set_data(s)) for i, s in enumerate(sets)}
+    """fast_check_many's loop over the orders, on sorted Sidon sets.
+
+    A set of span at most half the largest v the batch reaches gets a clash
+    mask (_clash_mask).  At each order one AND of the mask with the
+    multiples of v up to twice the largest such span settles its collision:
+    for a Sidon set this is sidon_distinct_mod at every v >= 2.  A wider set
+    would need a mask as long as its span, so it keeps sidon_distinct_mod
+    at each order.  A colliding set gets the kernel's own skip, (q, "S has
+    collision mod v").  Every other due set either has a class key already
+    ruled out at this order or goes to the kernel with distinct=True.
+    """
+    # index -> (set, checked, skipped, g0, whole, divided, clash): the set,
+    # its report so far, appended to at each order where it is due
+    # (|S| <= q+1) and yielded once decided, then its order-free data, the
+    # clash mask None for a set too wide for one
+    v_top = q_max * q_max + q_max + 1
+    live = {}
+    top = 0  # twice the largest span with a clash mask: its highest bit
+    for i, s in enumerate(sets):
+        span, g0, whole, divided = _set_data(s)
+        clash = None
+        if 2 * span <= v_top:
+            clash = _clash_mask(s)
+            top = max(top, 2 * span)
+        live[i] = (s, [], [], g0, whole, divided, clash)
     largest = max(map(len, sets), default=0)
     for q in range(2, q_max + 1):
         if not live:
@@ -468,24 +538,28 @@ def _scan_batch(sets, q_max: int, source):
             continue
         v = q * q + q + 1
         ruled_out_at = (q, v)
+        collision_at = (q, f"S has collision mod {v}")  # the kernel's own skip
+        multiples = _multiples(v, top)
         ruled_out: set[tuple[int, ...]] = set()  # class keys with NO_IMAGE at q
         tables = ScanTables(pds)
         for i in due:
-            s, checked, skipped, span, g0, whole, divided = live[i]
+            s, checked, skipped, g0, whole, divided, clash = live[i]
+            collides = clash & multiples if clash is not None else not sidon_distinct_mod(s, v)
+            if collides:
+                skipped.append(collision_at)
+                continue
             key = divided if gcd(g0, v) == 1 else whole
             if key in ruled_out:
                 checked.append(ruled_out_at)
                 continue
-            # a Sidon set's differences lie in (-span, span), so they stay
-            # distinct and nonzero mod any v > 2*span
-            outcome = fast_extends_at_q(s, pds, tables=tables, distinct=v > 2 * span)
+            # a due set fits (|S| <= q+1) and does not collide, so the kernel
+            # either embeds it or finds no image
+            outcome = fast_extends_at_q(s, pds, tables=tables, distinct=True)
             if outcome.kind == EXTENDS:
                 del live[i]
                 yield i, CheckReport(True, outcome.witness, tuple(checked), tuple(skipped))
-            elif outcome.kind == NO_IMAGE:
+            else:
                 ruled_out.add(key)
                 checked.append(ruled_out_at)
-            else:
-                skipped.append((q, outcome.reason))
     for i, (_, checked, skipped, *_) in live.items():
         yield i, CheckReport(False, None, tuple(checked), tuple(skipped))

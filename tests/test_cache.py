@@ -136,6 +136,45 @@ def test_enumeration_parse_error_names_line(tmp_path):
         read_enumeration(path)
 
 
+# Each of these read back at one time, coerced with int() and bool() into a
+# valid-looking record.
+MALFORMED_RECORDS = {
+    "strings-and-float": {"set": "013", "extends": "false", "q_witness": 13.7, "q_max": 250},
+    "float-element": {"set": [0, 1.9, 3], "extends": False, "q_witness": None, "q_max": 250},
+    "bool-element": {"set": [True, 2, 4], "extends": True, "q_witness": 3, "q_max": 64},
+    "string-element": {"set": ["0", 1, 3], "extends": True, "q_witness": 3, "q_max": 64},
+    "int-extends": {"set": [0, 1, 3], "extends": 1, "q_witness": 2, "q_max": 64},
+    "string-extends": {"set": [0, 1, 3], "extends": "true", "q_witness": 2, "q_max": 64},
+    "float-q-witness": {"set": [0, 1, 3], "extends": True, "q_witness": 2.0, "q_max": 64},
+    "bool-q-witness": {"set": [0, 1, 3], "extends": True, "q_witness": True, "q_max": 64},
+    "string-q-max": {"set": [0, 1, 3], "extends": False, "q_witness": None, "q_max": "64"},
+    "float-q-max": {"set": [0, 1, 3], "extends": False, "q_witness": None, "q_max": 64.0},
+    "object-set": {"set": {"0": 1}, "extends": False, "q_witness": None, "q_max": 64},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_read_enumeration_rejects_values_of_the_wrong_json_type(tmp_path, obj):
+    path = tmp_path / "bad.jsonl"
+    good = '{"set": [0, 1, 3, 7], "extends": true, "q_witness": 3, "q_max": 64}'
+    path.write_text(good + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: line 2"):
+        read_enumeration(path)
+
+
+def test_enumeration_roundtrip_of_every_field_shape(tmp_path):
+    # singleton, the empty set, null and integer witnesses, both verdicts
+    records = [
+        EnumerationRecord((5,), True, 2, 2),
+        EnumerationRecord((), False, None, 317),
+        EnumerationRecord((0, 1, 3, 11), False, None, 250),
+        EnumerationRecord((0, 2, 7, 19, 26), True, 173, 250),
+    ]
+    path = tmp_path / "recs.jsonl"
+    write_enumeration(records, path)
+    assert read_enumeration(path) == records
+
+
 def test_enumeration_path_shape(tmp_path):
     p = enumeration_path(50, 4, 250, tmp_path)
     assert p.name == "size4_N50_qmax250_fast.jsonl"

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from math import gcd, isqrt
@@ -17,7 +18,9 @@ from sidonpds.orbit import (
     CheckReport,
     ScanTables,
     _best_pivot,
+    _clash_mask,
     _member_set,
+    _multiples,
     _pivot_scan,
     _scan_starts,
     _set_data,
@@ -423,6 +426,11 @@ def test_batch_matches_per_set_on_the_density_row(source):
     assert len(sets) == 3254
     batch = _assert_batch_matches_per_set(sets, 250, source)
     assert sum(not r.extends for r in batch.values()) == 8
+    # to q = 13, where every collision of the row falls and most sets are
+    # still undecided, with each skip reason compared
+    batch = _assert_batch_matches_per_set(sets, 13, source)
+    collisions = [q for r in batch.values() for q, reason in r.skipped if reason.startswith("S has collision")]
+    assert len(collisions) == 5934 and max(collisions) == 7
 
 
 def test_batch_matches_per_set_on_the_dilation_family(source):
@@ -532,7 +540,8 @@ def test_set_data_picks_the_class_key_at_every_cached_order():
 
 
 def test_sidon_differences_stay_distinct_mod_any_v_above_twice_the_span():
-    # what lets the batch skip the collision test where v > 2*span
+    # why the clash mask stops at 2*span: past it no multiple of v is left
+    # in the mask and no Sidon set collides; at 2*span the 2d bit of d = span
     rng = random.Random(2203)
     for size in 3 * [*range(2, 8)]:
         s = _random_sidon_set(rng, size, 60)
@@ -541,6 +550,47 @@ def test_sidon_differences_stay_distinct_mod_any_v_above_twice_the_span():
             assert sidon_distinct_mod(s, v), (s, v)
         # tight: the differences span and -span meet at v = 2*span
         assert not sidon_distinct_mod(s, 2 * span), s
+
+
+def test_clash_mask_meets_the_multiples_of_v_iff_the_set_collides():
+    # the batch's collision test against its oracle, at every v from 2 to
+    # past twice the span and at every cached order
+    vs = [q * q + q + 1 for q in range(2, 318) if is_prime_power(q)]
+    assert len(vs) == 83
+    # the identity is for Sidon sets, the only ones a batch accepts
+    sets = [s for s in _random_sidon_sets() if is_sidon(s)] + list(iter_sidon_sets(30, 4))
+    collided = 0
+    for s in sets:
+        span, clash = s[-1] - s[0], _clash_mask(s)
+        # every bit is a d, a d1 - d2 or a d1 + d2: in [1, 2*span]
+        assert not clash & 1 and clash >> 2 * span + 1 == 0, s
+        for v in {*range(2, 2 * span + 41), *vs}:
+            meets = any(clash >> e & 1 for e in range(v, 2 * span + 1, v))
+            assert meets == (not sidon_distinct_mod(s, v)), (s, v)
+            collided += meets
+    assert collided > 100_000
+
+
+def test_multiples_mask_sets_every_multiple_of_v_up_to_top():
+    for top in (0, 1, 2, 59, 60, 61, 1000):
+        for v in range(2, 1100):
+            low = _multiples(v, top) & (1 << top + 1) - 1
+            assert low == sum(1 << e for e in range(v, top + 1, v)), (v, top)
+
+
+def test_batch_tests_a_set_too_wide_for_a_clash_mask_at_each_order(source):
+    # A dilated by 10**6 has a unit content at every cached v, so it is
+    # scanned at all 80 orders from q = 3 to 317 where it does not collide;
+    # a clash mask 2*span = 2.2e7 bits long, ANDed at each of them, would
+    # not finish.  2*span of the last two sets is the largest v of the call
+    # and one past it: the last set with a mask and the first without.
+    v_top = 317 * 317 + 317 + 1
+    sets = [tuple(10**6 * x for x in A), (0, 1, 10**9), A, (0, 1, 3, v_top // 2), (0, 1, 3, v_top // 2 + 1)]
+    start = time.perf_counter()
+    batch = _assert_batch_matches_per_set(sets, 317, source)
+    assert time.perf_counter() - start < 20
+    assert not batch[0].extends and len(batch[0].checked) == 80
+    assert all(batch[i].extends for i in (1, 3, 4))
 
 
 def test_kernel_keeps_the_collision_test_for_a_non_sidon_set(source):
@@ -706,6 +756,7 @@ def test_mask_scan_matches_the_comprehension_scan(source):
     rng = random.Random(1907)
     paths = Counter()
     kinds = set()
+    coset = 0
 
     def compare(s, pds, starts, tables):
         v = pds.v
@@ -735,6 +786,9 @@ def test_mask_scan_matches_the_comprehension_scan(source):
             s = _divisor_built_set(rng, divisors, v, size)
             compare(s, pds, _scan_starts(pds), tables)
             compare(s, pds, pds.elems, tables)
+            # the coset path on the order's tables, shared as in a batch, and on fresh ones
+            assert fast_extends_at_q(s, pds, tables=tables) == fast_extends_at_q(s, pds), (s, q)
+            coset += gcd(*s, v) > 1
         if q in (16, 25, 37, 64):
             for _ in range(10):
                 compare(_unit_pivot_and_non_units(q, rng), pds, _scan_starts(pds), tables)
@@ -751,6 +805,7 @@ def test_mask_scan_matches_the_comprehension_scan(source):
     # every case the kernel unifies is met, each at least this often with this seed
     least = {"g = h = 1": 900, "g = 1 < h": 300, "g > 1": 250, "|S| = 2": 300}
     assert all(paths[case] > count for case, count in least.items()), paths
+    assert coset > 100, coset
 
 
 def _bits(mask: int) -> set[int]:
