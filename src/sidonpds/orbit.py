@@ -35,13 +35,15 @@ can rule it out before any scan (the coset path); past the count it runs
 the same scan, on the tables of the order (ScanTables), so a batch shares
 them with its other scans.  An exhaustive (a, b) scan is kept as the
 oracle the tests compare the pivot scan against; the check itself never
-calls it.
+calls it.  The kernel returns a verdict, its kind and the witness of an
+embedding, never a reason.
 
 fast_check_many checks many sets at once, q-major, and fast_check is the
 batch of one.  At each order q every undecided set with |S| <= q+1 is due
-and appends (q, v) to its checked list or (q, reason) to its skipped list;
-its report is built from the two when it embeds or after q_max.  Two kinds
-of work are shared, both only between the sets of one call at one order.
+and appends (q, v) to its checked list or (q, reason) to its skipped list,
+the reason written by the batch; its report is built from the two when it
+embeds or after q_max.  Two kinds of work are shared, both only between
+the sets of one call at one order.
 Verdicts: translating S, reflecting it (x -> -x) and dividing it by its
 content g (the gcd of the normalized elements) when gcd(g, v) = 1 are
 affine maps with a unit multiplier mod v.  They keep "some affine image
@@ -62,11 +64,13 @@ across the orders of one call is what does not depend on v: its content g,
 both candidate class keys, the translate to 0 and the translate divided by
 g, each least with its reflection, and its clash mask.  The key depends on
 v only through gcd(g, v): at v the batch takes the divided one iff
-gcd(g, v) = 1.  The clash mask decides the collision test.  Every set of a
-batch is Sidon, so its positive differences d are distinct integers, and
-its signed differences +-d meet mod v, or one is 0 mod v, iff v divides
-some d, some d1 - d2 with d1 > d2 (d1 = d2 or -d1 = -d2 mod v) or some
-d1 + d2, d1 = d2 included (d1 = -d2 mod v).  The clash mask has bit e set
+gcd(g, v) = 1.  The clash mask decides the collision test; it is built
+from the positive differences that validating the set returned
+(positive_differences).  Every set of a batch is Sidon, so its positive
+differences d are distinct integers, and its signed differences +-d meet
+mod v, or one is 0 mod v, iff v divides some d, some d1 - d2 with d1 > d2
+(d1 = d2 or -d1 = -d2 mod v) or some d1 + d2, d1 = d2 included
+(d1 = -d2 mod v).  The clash mask has bit e set
 for every such e, all in [1, 2*span], so one AND against the multiples of
 v settles the collision, exactly, at every v >= 2; past 2*span no multiple
 of v is left, and there a set never collides.  The mask is 2*span + 1 bits
@@ -85,7 +89,7 @@ from math import gcd
 
 from . import cache
 from .fields import is_prime_power
-from .sidon import SKIP_COLLISION, SKIP_SIZE, Pds, is_sidon, sidon_distinct_mod
+from .sidon import SKIP_COLLISION, SKIP_SIZE, Pds, positive_differences, sidon_distinct_mod
 
 EXTENDS = "extends"
 NO_IMAGE = "no_image"
@@ -119,9 +123,10 @@ class AffineWitness:
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """The kernel's verdict at one order: its kind, and the witness of an embedding; _scan_batch writes the reasons."""
+
     kind: str
     witness: AffineWitness | None = None
-    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,10 @@ class CheckReport:
     skipped: tuple[tuple[int, str], ...]  # (q, reason) pairs not decided
 
 
-# the outcome of every scan that meets no embedding: frozen, so one is shared
-_NO_IMAGE = CheckOutcome(NO_IMAGE, reason="no affine image of S in B")
+# every outcome without a witness: frozen, so one per kind is shared
+_NO_IMAGE = CheckOutcome(NO_IMAGE)
+_SKIP_SIZE = CheckOutcome(SKIP_SIZE)
+_SKIP_COLLISION = CheckOutcome(SKIP_COLLISION)
 
 
 class PdsSource:
@@ -198,10 +205,12 @@ def fast_extends_at_q(
 ) -> CheckOutcome:
     """Decide whether some affine image of s lies inside pds.elems in Z_v, v = pds.v.
 
-    The order q and the modulus v are those of pds.  Two keywords are the
-    batch's hand-off; a lone call leaves both at their defaults.  tables is
-    the ScanTables of pds, which fast_check_many builds once per order and
-    shares between the sets it scans there; None builds a fresh one.
+    The order q and the modulus v are those of pds.  The kind says what was
+    decided: EXTENDS with its witness, NO_IMAGE, or SKIP_SIZE / SKIP_COLLISION
+    when the order cannot host s.  Two keywords are the batch's hand-off; a
+    lone call leaves both at their defaults.  tables is the ScanTables of
+    pds, which fast_check_many builds once per order and shares between the
+    sets it scans there; None builds a fresh one.
     distinct=True says the caller knows the differences of s are distinct
     and nonzero mod v, so the collision test is skipped.  fast_check_many
     passes it for every set it hands over: it has already settled each
@@ -214,11 +223,11 @@ def fast_extends_at_q(
     s = tuple(s)
     n = len(s)
     # size first: a set larger than q+1 always also collides mod v, and the
-    # size reason is the one that explains why
+    # size is what explains why
     if n > q + 1:
-        return CheckOutcome(SKIP_SIZE, reason=f"|S|={n} > q+1={q + 1}")
+        return _SKIP_SIZE
     if not distinct and not sidon_distinct_mod(s, v):
-        return CheckOutcome(SKIP_COLLISION, reason=f"S has collision mod {v}")
+        return _SKIP_COLLISION
     if tables is None:
         tables = ScanTables(pds)
     if n == 1:
@@ -231,11 +240,11 @@ def fast_extends_at_q(
     g = gcd(*gs)
     if g > 1:
         return coset_path(s_norm, pds, g, tables=tables)
-    return _pivot_scan(pds, s_norm, _best_pivot(gs), tables.starts, tables, gs)
+    return _pivot_scan(tables, s_norm, gs, _best_pivot(gs), tables.starts)
 
 
 class ScanTables:
-    """What the scans against one PDS share: B's member set, the scan starts and the masks.
+    """What the scans against one PDS share: the PDS, B's member set, the scan starts and the masks.
 
     members is frozenset(B) and starts is _scan_starts(pds).  masks holds
     what _pivot_scan builds: under (h, m, r, width) a tile of _tile, and
@@ -243,9 +252,10 @@ class ScanTables:
     and the candidate list of each start b0.
     """
 
-    __slots__ = ("members", "starts", "masks")
+    __slots__ = ("pds", "members", "starts", "masks")
 
     def __init__(self, pds: Pds):
+        self.pds = pds
         self.members = _member_set(pds.elems)
         self.starts = _scan_starts(pds)
         self.masks: dict = {}
@@ -259,10 +269,8 @@ def _best_pivot(gs) -> int:
     return gs.index(min(gs[1:]), 1)
 
 
-def _pivot_scan(
-    pds: Pds, s_norm, j_pivot: int, starts, tables: ScanTables | None = None, gs=None
-) -> CheckOutcome:
-    """Try every map with 0 -> b0 and s_norm[j_pivot] -> B, b0 in starts, in the order of b1.
+def _pivot_scan(tables: ScanTables, s_norm, gs, j_pivot: int, starts) -> CheckOutcome:
+    """Try every map with 0 -> b0 and s_norm[j_pivot] -> B = tables.pds, b0 in starts, in the order of b1.
 
     One kernel for any pivot s_j, g = gcd(s_j, v), and any filter element
     x1, h = gcd(x1, v): the first unit beside the pivot if S has one, and 0
@@ -280,8 +288,8 @@ def _pivot_scan(
     c, c + p, ... below v.  With g = h = 1, p = v and this is the mask
     intersection M_inv & rotr(M_w, (w - inv)*b0 mod v) of a unit pivot and
     filter, one shift and one AND on v-bit integers per start.  Only the
-    unit candidates pay for the remaining elements.  gs holds each
-    element's gcd with v (None computes them).
+    unit candidates pay for the remaining elements.  tables is the
+    ScanTables of B, and gs holds each element's gcd with v.
 
     starts is _scan_starts(pds) on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
@@ -296,12 +304,8 @@ def _pivot_scan(
     set of the batch needs it and read by every later set with that pivot
     and filter.
     """
+    pds, members, masks = tables.pds, tables.members, tables.masks
     v = pds.v
-    if tables is None:
-        tables = ScanTables(pds)
-    if gs is None:
-        gs = [gcd(x, v) for x in s_norm]
-    members, masks = tables.members, tables.masks
     sp = s_norm[j_pivot]
     # the elements beside 0 and the pivot: the filter x1 is the first unit
     # among them, else the first of them, else 0 itself, whose image b0 is in B
@@ -368,20 +372,19 @@ def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
     return tile
 
 
-def coset_path(s_norm, pds: Pds, g: int, *, tables: ScanTables | None = None) -> CheckOutcome:
+def coset_path(s_norm, pds: Pds, g: int, *, tables: ScanTables) -> CheckOutcome:
     """Pivot scan for an s_norm whose elements all share the factor g with v = pds.v.
 
     Any image a*S + b stays inside the coset b + g*Z_v, so only a coset where
     the PDS has at least |S| elements can host one; when no coset has room
-    the answer needs no scan.  tables is the ScanTables of pds, as in
-    fast_extends_at_q, so the scan shares its starts and masks.
+    the answer is NO_IMAGE and no scan runs.  tables is the ScanTables of
+    pds that fast_extends_at_q was given or built, so the scan shares its
+    starts and masks.
     """
     if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
-        return CheckOutcome(NO_IMAGE, reason="no eligible coset")
-    if tables is None:
-        tables = ScanTables(pds)
+        return _NO_IMAGE
     gs = [gcd(x, pds.v) for x in s_norm]
-    return _pivot_scan(pds, s_norm, _best_pivot(gs), tables.starts, tables, gs)
+    return _pivot_scan(tables, s_norm, gs, _best_pivot(gs), tables.starts)
 
 
 def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
@@ -391,7 +394,7 @@ def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
     s0 = s[0]
     s_norm = tuple((x - s0) % v for x in s)
     if len(set(s_norm)) != len(s_norm):
-        return CheckOutcome(NO_IMAGE, reason="elements collide mod v")
+        return _NO_IMAGE
     members = _member_set(pds.elems)
     for a in range(1, v):
         if gcd(a, v) != 1:
@@ -402,7 +405,7 @@ def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
                     break
             else:
                 return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b, s_norm, members))
-    return CheckOutcome(NO_IMAGE, reason="brute force: no extension")
+    return _NO_IMAGE
 
 
 def fast_check(s, q_max: int, source) -> CheckReport:
@@ -428,16 +431,18 @@ def fast_check_many(sets, q_max: int, source):
     return _scan_batch(sets, q_max, source)
 
 
-def _check_input(s, q_max: int) -> tuple[int, ...]:
+def _check_input(s, q_max: int) -> tuple[tuple[int, ...], list[int]]:
+    """(sorted s, its positive differences), or the ValueError fast_check raises for s."""
     s = tuple(sorted(s))
     if not s:
         raise ValueError("the empty set () has no element to check")
-    if not is_sidon(s):
+    ds = positive_differences(s)
+    if ds is None:
         raise ValueError(f"{s} is not a Sidon set")
     q_lo = max(2, len(s) - 1)
     if q_max < q_lo:
         raise ValueError(f"q_max={q_max} below the smallest usable order {q_lo}")
-    return s
+    return s, ds
 
 
 def _set_data(s) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
@@ -451,21 +456,20 @@ def _set_data(s) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     has the same fast_extends_at_q kind at this v.
     """
     s0 = s[0]
-    t = s if s0 == 0 else tuple([x - s0 for x in s])
+    t = tuple([x - s0 for x in s])
     g0 = gcd(*t)
     whole = _least_with_reflection(t)
     divided = _least_with_reflection(tuple([x // g0 for x in t])) if g0 > 1 else whole
     return t[-1], g0, whole, divided
 
 
-def _clash_mask(s) -> int:
-    """The clash mask of s: bit e set for every positive difference d, d1 - d2 > 0 and d1 + d2 (2*d included).
+def _clash_mask(ds) -> int:
+    """The clash mask of a Sidon set with positive differences ds: bit e set for every d, d1 - d2 > 0 and d1 + d2 (2*d included).
 
     For a Sidon set s, sidon_distinct_mod(s, v) holds iff no multiple of v
     is set, at every v >= 2 (module docstring).  Every bit lies in
     [1, 2*span], so the integer is 2*span + 1 bits long.
     """
-    ds = [y - x for i, x in enumerate(s) for y in s[i + 1:]]
     dm = 0
     for d in ds:
         dm |= 1 << d
@@ -477,9 +481,7 @@ def _clash_mask(s) -> int:
 
 
 def _multiples(v: int, top: int) -> int:
-    """An integer with bit e set for every multiple e of v in [v, top] (and some past top); 0 if v > top."""
-    if v > top:
-        return 0
+    """An integer with bit e set for every multiple e of v in [v, top] (and some past top)."""
     # m holds v, 2v, ..., width; each doubling is one shift, so the work is linear in top
     m, width = 1 << v, v
     while width < top:
@@ -495,16 +497,18 @@ def _least_with_reflection(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _scan_batch(sets, q_max: int, source):
-    """fast_check_many's loop over the orders, on sorted Sidon sets.
+    """fast_check_many's loop over the orders, on (sorted Sidon set, positive differences) pairs.
 
-    A set of span at most half the largest v the batch reaches gets a clash
-    mask (_clash_mask).  At each order one AND of the mask with the
-    multiples of v up to twice the largest such span settles its collision:
-    for a Sidon set this is sidon_distinct_mod at every v >= 2.  A wider set
-    would need a mask as long as its span, so it keeps sidon_distinct_mod
-    at each order.  A colliding set gets the kernel's own skip, (q, "S has
-    collision mod v").  Every other due set either has a class key already
-    ruled out at this order or goes to the kernel with distinct=True.
+    The batch writes every reason a report carries: (q, "not prime power"),
+    (q, "no cached PDS") and (q, "S has collision mod v"); the kernel only
+    returns kinds.  A set of span at most half the largest v the batch
+    reaches gets a clash mask (_clash_mask).  At each order one AND of the
+    mask with the multiples of v up to twice the largest such span settles
+    its collision: for a Sidon set this is sidon_distinct_mod at every
+    v >= 2.  A wider set would need a mask as long as its span, so it keeps
+    sidon_distinct_mod at each order.  Every due set that does not collide
+    either has a class key already ruled out at this order or goes to the
+    kernel with distinct=True, on the order's one ScanTables.
     """
     # index -> (set, checked, skipped, g0, whole, divided, clash): the set,
     # its report so far, appended to at each order where it is due
@@ -513,19 +517,18 @@ def _scan_batch(sets, q_max: int, source):
     v_top = q_max * q_max + q_max + 1
     live = {}
     top = 0  # twice the largest span with a clash mask: its highest bit
-    for i, s in enumerate(sets):
+    for i, (s, ds) in enumerate(sets):
         span, g0, whole, divided = _set_data(s)
         clash = None
         if 2 * span <= v_top:
-            clash = _clash_mask(s)
+            clash = _clash_mask(ds)
             top = max(top, 2 * span)
         live[i] = (s, [], [], g0, whole, divided, clash)
-    largest = max(map(len, sets), default=0)
+    del sets  # the difference lists are not needed past the clash masks
     for q in range(2, q_max + 1):
         if not live:
             return
-        # once q + 1 reaches the largest set, every live set is due
-        due = list(live) if q + 1 >= largest else [i for i, d in live.items() if len(d[0]) <= q + 1]
+        due = [i for i, d in live.items() if len(d[0]) <= q + 1]
         if not due:
             continue
         pp = is_prime_power(q)
@@ -538,7 +541,7 @@ def _scan_batch(sets, q_max: int, source):
             continue
         v = q * q + q + 1
         ruled_out_at = (q, v)
-        collision_at = (q, f"S has collision mod {v}")  # the kernel's own skip
+        collision_at = (q, f"S has collision mod {v}")
         multiples = _multiples(v, top)
         ruled_out: set[tuple[int, ...]] = set()  # class keys with NO_IMAGE at q
         tables = ScanTables(pds)

@@ -33,24 +33,26 @@ class Pds:
     method: str
 
 
+def positive_differences(elems) -> list[int] | None:
+    """The differences y - x, x < y, of the sorted values; None when a value repeats or two differences coincide.
+
+    The values are a Sidon set iff the result is not None.
+    """
+    xs = sorted(elems)
+    ds = [y - x for i, x in enumerate(xs) for y in xs[i + 1:]]
+    # a repeated value shows as the difference 0
+    if 0 in ds or len(set(ds)) != len(ds):
+        return None
+    return ds
+
+
 def is_sidon(elems) -> bool:
     """True iff the values are duplicate-free with all pairwise differences distinct.
 
     Unsorted input is sorted first; the property itself does not depend on
     order.
     """
-    xs = sorted(elems)
-    k = len(xs)
-    if len(set(xs)) != k:
-        return False
-    seen = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = xs[j] - xs[i]
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    return positive_differences(elems) is not None
 
 
 def sidon_distinct_mod(s, v: int) -> bool:

@@ -40,10 +40,21 @@ def test_singer_rejects_non_prime_power(capsys, data_root):
 EXTENDS_0_1_3_19 = "extends: q=37 v=1407 a=1124 b=532 rigor=hall image=[249, 532, 783, 1090]\n"
 
 
-def test_check_extending_set(capsys, data_root):
-    code, out, _ = run(capsys, "--data-root", data_root, "check", "0,1,3,19", "--q-max", "64")
+@pytest.mark.parametrize(
+    "elems, expected",
+    [
+        ("0,1,3,19", EXTENDS_0_1_3_19),
+        # every element shares the factor 3 with v = 57 and 183 at the
+        # witness order, so both witnesses come from the coset path
+        ("0,3,21,33", "extends: q=7 v=57 a=8 b=38 rigor=hall image=[5, 17, 35, 38]\n"),
+        ("0,3,27,33", "extends: q=13 v=183 a=79 b=7 rigor=hall image=[7, 52, 61, 127]\n"),
+    ],
+    ids=["0,1,3,19", "0,3,21,33", "0,3,27,33"],
+)
+def test_check_extending_set(capsys, data_root, elems, expected):
+    code, out, _ = run(capsys, "--data-root", data_root, "check", elems, "--q-max", "64")
     assert code == 0
-    assert out == EXTENDS_0_1_3_19
+    assert out == expected
 
 
 def test_check_non_extending_set(capsys, data_root):

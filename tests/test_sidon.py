@@ -10,6 +10,7 @@ from sidonpds.sidon import (
     dilate,
     is_sidon,
     normalize,
+    positive_differences,
     reflect,
     sidon_distinct_mod,
     verify_pds,
@@ -27,6 +28,18 @@ def test_is_sidon_examples():
     assert is_sidon((1, 2, 4, 8, 13))
     assert is_sidon((1, 3, 9, 10, 13))
     assert not is_sidon((0, 1, 1, 3))  # duplicates
+    assert not is_sidon((0, 0))  # a repeat with no repeated difference
+    assert is_sidon((5,))
+    assert is_sidon(())
+
+
+@given(st.lists(st.integers(-30, 30), max_size=7))
+def test_is_sidon_matches_its_definition(xs):
+    # repeats and negatives allowed: duplicate-free, pairwise differences distinct
+    diffs = [y - x for x, y in combinations(sorted(xs), 2)]
+    sidon = len(set(xs)) == len(xs) and len(set(diffs)) == len(diffs)
+    assert is_sidon(xs) == sidon
+    assert positive_differences(xs) == (diffs if sidon else None)
 
 
 def test_is_sidon_sorts_first():
