@@ -44,6 +44,13 @@ def _require_sidon(elems) -> tuple[int, ...]:
     return elems
 
 
+def _mismatch_exit(failures) -> int:
+    """Print one MISMATCH line per failure on stderr; the --check exit code, 1 if any."""
+    for f in failures:
+        _eprint(f"MISMATCH: {f}")
+    return 1 if failures else 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -130,11 +137,7 @@ def _cmd_triple_verify(args) -> int:
         else:
             if not v.non_extending or not v.method2_agree or not m3.no_extension_proven:
                 failures.append(f"{v.candidate.label}: expected a fully concordant non-extension")
-    if args.check and failures:
-        for f in failures:
-            _eprint(f"MISMATCH: {f}")
-        return 1
-    return 0
+    return _mismatch_exit(failures) if args.check else 0
 
 
 def _cmd_independent_check(args) -> int:
@@ -219,9 +222,7 @@ def _cmd_density(args) -> int:
         print(_density_row_line(row))
         if args.check and args.size == 4:
             _check_density_row(row, records, failures)
-    for f in failures:
-        _eprint(f"MISMATCH: {f}")
-    return 1 if failures else 0
+    return _mismatch_exit(failures)
 
 
 def _cmd_closure(args) -> int:
@@ -238,18 +239,14 @@ def _cmd_closure(args) -> int:
             print(f"  {list(sv.elems)}: {tag}")
     for v in report.violations:
         print(f"VIOLATION: extending superset {list(v)} of a non-extending base")
+    failures = []
     if args.check:
         ref = pipeline.REFERENCE_SUPERSET_COUNTS.get((report.base, args.size, args.range_max))
-        mismatches = []
         if ref is not None and report.count != ref:
-            mismatches.append(f"superset count {report.count} != {ref}")
-        if report.precondition_ok and not report.all_non_extending:
-            mismatches.append("closure violated")
-        for m in mismatches:
-            _eprint(f"MISMATCH: {m}")
-        if mismatches:
-            return 1
-    return 1 if report.violations else 0
+            failures.append(f"superset count {report.count} != {ref}")
+        if report.violations:
+            failures.append("closure violated")
+    return 1 if _mismatch_exit(failures) or report.violations else 0
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,13 @@ class _Stop(Exception):
 def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     """Core DFS; returns (solutions, status, nodes). Solutions contain the seed.
 
-    The solutions come back sorted.  Find-first runs the tree to the end, or
-    to the budget, and keeps only the least solution.
+    The seed is the only gate: each of its residues mod v, repeats
+    included, must be allowed when it is added, and a chosen residue never
+    is again.  So a seed with a repeated residue or with colliding
+    differences mod v is a ValueError; for an odd v that is exactly
+    not sidon_distinct_mod(seed, v).  The solutions come back sorted.
+    Find-first runs the tree to the end, or to the budget, and keeps only
+    the least solution.
     """
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
@@ -108,10 +113,10 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
 
     # bit 0 of used: residues already taken read as "difference zero in use"
     state = (1, full, 0, 0, 0, 0)
-    base = sorted({x % v for x in seed})
+    base = sorted(x % v for x in seed)
     for x in base:
         if not state[1] >> x & 1:
-            raise ValueError("seed has difference collisions mod v")
+            raise ValueError(f"seed has difference collisions mod {v}")
         state = grow(x, *state)
     if len(base) == n:
         sol = tuple(base)
@@ -222,7 +227,10 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
 def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
     """Search for a perfect difference set in Z_v containing s mod v.
 
-    Its size n is fixed by v = n(n-1) + 1; any other v is a ValueError.
+    Its size n >= 2 is fixed by v = n(n-1) + 1; any other v is a
+    ValueError, and so is a seed of more than n elements.  _search's seed
+    gate raises the ValueError for a seed that repeats a residue or
+    collides mod v, so this makes no collision test of its own.
     Returns found (with a verified witness), exhausted (a completed search:
     no extension exists at this modulus), or timeout (no conclusion).  The
     witness is the least extension in lex order.  When the budget stops the
@@ -231,14 +239,12 @@ def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
     witness but need not be the least one.
     """
     root = isqrt(max(4 * v - 3, 0))
-    if root * root != 4 * v - 3:
-        raise ValueError(f"modulus {v} is not n(n-1)+1 for any size n")
     n = (root + 1) // 2
+    if root * root != 4 * v - 3 or n < 2:
+        raise ValueError(f"modulus {v} is not n(n-1)+1 for any size n >= 2")
     s = tuple(s)
     if len(s) > n:
         raise ValueError(f"seed larger than target size: {len(s)} > {n}")
-    if not sidon_distinct_mod(s, v):
-        raise ValueError(f"seed has difference collisions mod {v}")
     if budget is None:
         budget = DfsBudget()
     t0 = time.monotonic()

@@ -29,14 +29,17 @@ members would embed too; the reduced scan reaches it first and returns the
 same witness (a, b).  Over the 83 cached orders up to q = 317 this leaves
 3,443 starts of 11,252 elements.
 
-When every normalized element shares a factor g > 1 with v, an image lives
-inside a single coset of g*Z_v, and a pigeonhole count over the cosets of B
-can rule it out before any scan (the coset path); past the count it runs
-the same scan, on the tables of the order (ScanTables), so a batch shares
-them with its other scans.  An exhaustive (a, b) scan is kept as the
-oracle the tests compare the pivot scan against; the check itself never
-calls it.  The kernel returns a verdict, its kind and the witness of an
-embedding, never a reason.
+Every scan goes through one call, coset_path, with the content g of the
+normalized set and v.  When g > 1 an image lives inside a single coset of
+g*Z_v, and a pigeonhole count over the cosets of B can rule it out before
+any scan; with g = 1 the one coset is Z_v, which always has room, and no
+count runs.  The scan runs on the tables of the order (ScanTables), so a
+batch shares them with its other scans.  An exhaustive (a, b) scan is kept
+as the oracle the tests compare the pivot scan against; the check itself
+never calls it.  The kernel returns a verdict, its kind and the witness of
+an embedding, never a reason.  A witness maps the set the kernel was
+given: sorted((a*x + b) % v for x in s) is its image, a subset of B.  The
+scan embeds s - s[0], and fast_extends_at_q moves b back to s.
 
 fast_check_many checks many sets at once, q-major, and fast_check is the
 batch of one.  At each order q every undecided set with |S| <= q+1 is due
@@ -59,9 +62,12 @@ the tiles are taken once per order (ScanTables).  The candidate list of a
 start b0 depends only on B, the pivot s_j, the filter x1 and b0, so the
 scan builds it once per order for every set with that pivot and filter.
 
-Verdicts and tables are not kept across calls or orders.  What a set keeps
-across the orders of one call is what does not depend on v: its content g,
-both candidate class keys, the translate to 0 and the translate divided by
+Verdicts, tiles and candidate lists are not kept across calls or orders.
+B's member set and scan starts are: _member_set and _scan_starts are lru
+caches of the 512 most recently used PDSs, so a later call or ScanTables
+against the same PDS reads them from there.  What a set keeps across the
+orders of one call is what does not depend on v: its content g, both
+candidate class keys, the translate to 0 and the translate divided by
 g, each least with its reflection, and its clash mask.  The key depends on
 v only through gcd(g, v): at v the batch takes the divided one iff
 gcd(g, v) = 1.  The clash mask decides the collision test; it is built
@@ -191,11 +197,12 @@ def _scan_starts(pds: Pds) -> tuple[int, ...]:
     return tuple(starts)
 
 
-def _make_witness(pds: Pds, a, b, s_norm, members) -> AffineWitness:
+def _make_witness(pds: Pds, a, b, s, members) -> AffineWitness:
+    """The witness (a, b) of s: image = sorted((a*x + b) % v for x in s), re-verified to lie in B."""
     v = pds.v
-    image = tuple(sorted((a * s + b) % v for s in s_norm))
+    image = tuple(sorted((a * x + b) % v for x in s))
     # soundness: a real embedding of all of S, not a collapsed image
-    if len(image) != len(s_norm) or not members.issuperset(image) or gcd(a, v) != 1:
+    if len(image) != len(s) or not members.issuperset(image) or gcd(a, v) != 1:
         raise AssertionError("affine witness failed re-verification")
     return AffineWitness(pds.q, v, a % v, b % v, image)
 
@@ -207,7 +214,11 @@ def fast_extends_at_q(
 
     The order q and the modulus v are those of pds.  The kind says what was
     decided: EXTENDS with its witness, NO_IMAGE, or SKIP_SIZE / SKIP_COLLISION
-    when the order cannot host s.  Two keywords are the batch's hand-off; a
+    when the order cannot host s.  The witness (a, b) maps s itself:
+    sorted((a*x + b) % v for x in s) is its image.  Past the size and
+    collision tests every s of two or more elements goes to coset_path with
+    its content gcd(v, s - s[0]), and the witness of that scan, which maps
+    s - s[0], is moved back to s.  Two keywords are the batch's hand-off; a
     lone call leaves both at their defaults.  tables is the ScanTables of
     pds, which fast_check_many builds once per order and shares between the
     sets it scans there; None builds a fresh one.
@@ -230,17 +241,17 @@ def fast_extends_at_q(
         return _SKIP_COLLISION
     if tables is None:
         tables = ScanTables(pds)
-    if n == 1:
-        witness = _make_witness(pds, 1, pds.elems[0], (0,), tables.members)
-        return CheckOutcome(EXTENDS, witness=witness)
     s0 = s[0]
+    if n == 1:
+        return CheckOutcome(EXTENDS, witness=_make_witness(pds, 1, pds.elems[0] - s0, s, tables.members))
     s_norm = tuple([(x - s0) % v for x in s])
-    # each element's gcd with v, read by the content, the pivot and the filter
-    gs = [gcd(x, v) for x in s_norm]
-    g = gcd(*gs)
-    if g > 1:
-        return coset_path(s_norm, pds, g, tables=tables)
-    return _pivot_scan(tables, s_norm, gs, _best_pivot(gs), tables.starts)
+    outcome = coset_path(s_norm, pds, gcd(v, *s_norm), tables=tables)
+    w = outcome.witness
+    # the scan's b maps s_norm = s - s0 mod v, which is s itself when s0 = 0
+    # mod v; otherwise a*x + (b - a*s0) maps x in s to the same image
+    if w is None or s0 % v == 0:
+        return outcome
+    return CheckOutcome(EXTENDS, witness=_make_witness(pds, w.a, w.b - w.a * s0, s, tables.members))
 
 
 class ScanTables:
@@ -373,22 +384,31 @@ def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
 
 
 def coset_path(s_norm, pds: Pds, g: int, *, tables: ScanTables) -> CheckOutcome:
-    """Pivot scan for an s_norm whose elements all share the factor g with v = pds.v.
+    """The pivot scan of s_norm, residues mod v = pds.v with 0 first, whose content g is gcd(v, *s_norm).
 
-    Any image a*S + b stays inside the coset b + g*Z_v, so only a coset where
-    the PDS has at least |S| elements can host one; when no coset has room
-    the answer is NO_IMAGE and no scan runs.  tables is the ScanTables of
-    pds that fast_extends_at_q was given or built, so the scan shares its
-    starts and masks.
+    The one path of every scan.  When g > 1 any image a*S + b stays inside
+    the coset b + g*Z_v, so only a coset where the PDS has at least |S|
+    elements can host one; when no coset has room the answer is NO_IMAGE
+    and no scan runs.  With g = 1 the one coset is Z_v, which always has
+    room, so the count runs only when g > 1.  The scan takes the pivot with
+    the smallest gcd with v (_best_pivot) and starts from tables.starts.
+    tables is the ScanTables of pds that fast_extends_at_q was given or
+    built, so the scan shares its starts and masks.  The witness maps
+    s_norm.
     """
-    if max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
+    if g > 1 and max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
         return _NO_IMAGE
+    # each element's gcd with v, read by the pivot and the filter
     gs = [gcd(x, pds.v) for x in s_norm]
     return _pivot_scan(tables, s_norm, gs, _best_pivot(gs), tables.starts)
 
 
 def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
-    """Exhaustive scan over all units a and shifts b mod pds.v; the oracle the tests check the scan against."""
+    """Exhaustive scan over all units a and shifts b mod pds.v; the oracle the tests check the scan against.
+
+    It scans s - s[0] with a before b, and its witness maps s itself, as
+    fast_extends_at_q's does.
+    """
     v = pds.v
     s = tuple(s)
     s0 = s[0]
@@ -404,7 +424,7 @@ def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
                 if (a * x + b) % v not in members:
                     break
             else:
-                return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b, s_norm, members))
+                return CheckOutcome(EXTENDS, witness=_make_witness(pds, a, b - a * s0, s, members))
     return _NO_IMAGE
 
 

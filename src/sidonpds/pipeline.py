@@ -364,43 +364,41 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
     that order, and confirm the exhaustive embedding verdict matches the one
     from that PDS alone (the uniqueness assumption carries no weight at
     these sizes).  Both checks are invariant under translation, so one
-    member per class decides them for the whole class.  Method 3: seeded
-    DFS, no Singer input at all.  The cache must cover q_max_fast and every
-    enumeration order.
+    member per class decides them for the whole class.  Each order is one
+    pass: enumerate, test the orbit, report progress, then append every
+    candidate's OrbitCrossCheck; no enumeration is kept past its pass.
+    Method 3: seeded DFS, no Singer input at all.  The cache must cover
+    q_max_fast and every enumeration order.
     """
-    enum_q = {v: (isqrt(4 * v - 3) - 1) // 2 for v in DEFAULT_ENUMERATION_MODULI}
-    require_cache(source, max(q_max_fast, *enum_q.values()))
-    enum_data = {}
-    for v, q in enum_q.items():
+    orders = [((isqrt(4 * v - 3) - 1) // 2, v) for v in DEFAULT_ENUMERATION_MODULI]
+    require_cache(source, max(q_max_fast, *(q for q, _ in orders)))
+    candidates = BASE_CANDIDATES + CONTROL_CANDIDATES
+    crosses = [[] for _ in candidates]  # each candidate's OrbitCrossCheck per order
+    for q, v in orders:
         all_pds, total = dfs.enumerate_all_pds(v)
-        orbit_ok = dfs.all_in_singer_orbit(v, all_pds, source.get(q))
-        enum_data[v] = (q, all_pds, total, orbit_ok)
+        pds = source.get(q)
+        orbit_ok = dfs.all_in_singer_orbit(v, all_pds, pds)
         if progress is not None:
             progress(f"enumerated v={v}: {total} perfect difference sets")
-    candidates = BASE_CANDIDATES + CONTROL_CANDIDATES
+        for cand, checks in zip(candidates, crosses):
+            slow = _exhaustive_extends(cand.elems, q, v, all_pds)
+            fast_kind = orbit.fast_extends_at_q(cand.elems, pds).kind
+            # a collision or size skip rules out embeddings just as a clean
+            # no-image scan does; both must then agree with the full list
+            agree = slow == (fast_kind == orbit.EXTENDS)
+            checks.append(OrbitCrossCheck(q, v, total, orbit_ok, slow, fast_kind, agree))
     method1 = dict(orbit.fast_check_many([c.elems for c in candidates], q_max_fast, source))
     verdicts = []
     for i, cand in enumerate(candidates):
-        m1 = method1[i]
-        crosses = []
-        for v, (q, all_pds, total, orbit_ok) in sorted(enum_data.items()):
-            slow = _exhaustive_extends(cand.elems, q, v, all_pds)
-            fast_out = orbit.fast_extends_at_q(cand.elems, source.get(q))
-            # a collision or size skip rules out embeddings just as a clean
-            # no-image scan does; both must then agree with the full list
-            fast_extends = fast_out.kind == orbit.EXTENDS
-            crosses.append(
-                OrbitCrossCheck(q, v, total, orbit_ok, slow, fast_out.kind, slow == fast_extends)
-            )
+        m1, m2 = method1[i], tuple(crosses[i])
         m3 = dfs.independent_check([cand.elems], dfs_q_lo, dfs_q_hi, budget)[0]
-        m2_extends = any(c.exhaustive_extends for c in crosses)
         verdict = TripleVerdict(
             candidate=cand,
             method1=m1,
-            method2=tuple(crosses),
-            method2_agree=all(c.agree and c.all_in_singer_orbit for c in crosses),
+            method2=m2,
+            method2_agree=all(c.agree and c.all_in_singer_orbit for c in m2),
             method3=m3,
-            non_extending=not (m1.extends or m2_extends or m3.extends),
+            non_extending=not (m1.extends or any(c.exhaustive_extends for c in m2) or m3.extends),
             is_control=cand in CONTROL_CANDIDATES,
         )
         verdicts.append(verdict)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,8 +50,12 @@ EXTENDS_0_1_3_19 = "extends: q=37 v=1407 a=1124 b=532 rigor=hall image=[249, 532
         # witness order, so both witnesses come from the coset path
         ("0,3,21,33", "extends: q=7 v=57 a=8 b=38 rigor=hall image=[5, 17, 35, 38]\n"),
         ("0,3,27,33", "extends: q=13 v=183 a=79 b=7 rigor=hall image=[7, 52, 61, 127]\n"),
+        # sets whose least element is not 0: the witness maps the set given,
+        # so 1124*{10,11,13,29} + 548 and 1*{5,6,8} + 3 are the images mod v
+        ("10,11,13,29", "extends: q=37 v=1407 a=1124 b=548 rigor=hall image=[249, 532, 783, 1090]\n"),
+        ("5,6,8", "extends: q=2 v=7 a=1 b=3 rigor=hall image=[1, 2, 4]\n"),
     ],
-    ids=["0,1,3,19", "0,3,21,33", "0,3,27,33"],
+    ids=["0,1,3,19", "0,3,21,33", "0,3,27,33", "10,11,13,29", "5,6,8"],
 )
 def test_check_extending_set(capsys, data_root, elems, expected):
     code, out, _ = run(capsys, "--data-root", data_root, "check", elems, "--q-max", "64")
@@ -259,6 +265,16 @@ def test_closure_check_matches_reference_count(capsys, data_root):
     assert "MISMATCH" not in err
 
 
+@pytest.mark.parametrize("check, code", [((), 0), (("--check",), 1)])
+def test_triple_verify_prints_each_mismatch_only_under_check(capsys, data_root, check, code):
+    # to q = 4 every order skips A and B (size, or a collision mod 13 and 21),
+    # so the DFS proves nothing and no candidate is a concordant non-extension
+    got, _, err = run(capsys, "--data-root", data_root, "triple-verify", "--q-max-fast", "64", "--q-hi", "4", *check)
+    assert got == code
+    labels = ("A", "B", "refl(A)", "refl(B)") if check else ()
+    assert err.splitlines() == [f"MISMATCH: {x}: expected a fully concordant non-extension" for x in labels]
+
+
 def test_check_exits_1_on_an_entry_that_is_not_json_integers(tmp_path, capsys):
     # int() would read this as the PDS (0, 1, 3) mod 7
     pds_path(2, tmp_path).parent.mkdir(parents=True)
@@ -326,3 +342,17 @@ def test_triple_verify_verbose_reports_each_enumeration_and_candidate(capsys, da
         "control {0,1,3}: non_extending=False",
         "control {0,1,3,19}: non_extending=False",
     ]
+
+
+def test_readme_full_reproduction_is_the_ci_step():
+    # the README block and the CI step that diffs its stdout against
+    # tests/golden/readme_full.stdout list the same commands, in order
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("Full reproduction", 1)[1].split("```\n", 2)[1]
+    documented = [line.split("#", 1)[0].split(None, 1)[1].strip() for line in block.splitlines()]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("- name: README full reproduction", 1)[1].split("- name:", 1)[0]
+    ran = re.findall(r'python -m sidonpds\.cli --data-root "\$root" (.+)', step)
+    assert len(documented) == 10
+    assert documented == [cmd.strip() for cmd in ran]

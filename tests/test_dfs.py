@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -265,6 +266,43 @@ def test_search_rejects_a_seed_with_colliding_differences_mod_v(seed):
             search(13, 4, seed, find_all=False, budget=None)
 
 
+def test_search_rejects_a_repeated_seed_residue():
+    # 13 = 0 mod 13: the seed gate keeps the repeat, which is never allowed twice
+    with pytest.raises(ValueError, match="collisions mod 13"):
+        _search(13, 4, (0, 13), find_all=False, budget=None)
+
+
+def _seed_gate_cases():
+    """(seed, v): every tuple of 1 to 3 values from [-2, v + 2), repeats included, at v = 7 and 13, and seeded wider ones."""
+    cases = [(s, v) for v in (7, 13) for size in (1, 2, 3) for s in product(range(-2, v + 2), repeat=size)]
+    rng = random.Random(2411)
+    for v in (21, 31, 57):
+        for size in (4, 5, 6):
+            cases += [(tuple(rng.randrange(-v, 2 * v) for _ in range(size)), v) for _ in range(200)]
+    return cases
+
+
+def test_find_extension_rejects_exactly_the_oversized_and_colliding_seeds():
+    # _search's masks are the only collision test of find_pds_extension
+    budget = DfsBudget(time_limit_s=5, node_limit=1)
+    cases = _seed_gate_cases()
+    assert len(cases) == 8482
+    rejected = 0
+    for s, v in cases:
+        n = next(n for n in range(2, 9) if n * (n - 1) + 1 == v)
+        if len(s) > n:
+            with pytest.raises(ValueError, match="larger than target size"):
+                find_pds_extension(s, v, budget)
+        elif not sidon_distinct_mod(s, v):
+            with pytest.raises(ValueError, match=f"collisions mod {v}$"):
+                find_pds_extension(s, v, budget)
+        else:
+            find_pds_extension(s, v, budget)
+            continue
+        rejected += 1
+    assert 1000 < rejected < len(cases) - 1000, rejected
+
+
 @pytest.mark.parametrize("v,n", [(7, 3), (13, 4), (21, 5), (31, 6)])
 def test_anchored_enumeration_rebuilds_the_list_through_zero(v, n):
     sols, total = enumerate_all_pds(v)
@@ -405,10 +443,13 @@ def test_independent_check_timeouts_disqualify_proof():
     assert not rep.no_extension_proven
 
 
-def test_independent_check_exhausts_order_12():
-    # q = 12 is not a prime power: neither the cache nor the Singer scan decides v = 157
-    for rep in independent_check([A, B], 12, 12):
-        assert [(r.v, r.status) for r in rep.runs] == [(157, EXHAUSTED)]
+@pytest.mark.parametrize("q", [12, 13])
+def test_independent_check_exhausts_order(q):
+    # q = 12 is not a prime power: neither the cache nor the Singer scan
+    # decides v = 157; q = 13 (v = 183) is the next order of the proof to q = 16
+    v = q * q + q + 1
+    for rep in independent_check([A, B], q, q):
+        assert [(r.v, r.status) for r in rep.runs] == [(v, EXHAUSTED)]
         assert rep.no_extension_proven
 
 

@@ -245,10 +245,17 @@ def test_coset_path_no_room_pigeonhole(source):
 
 
 def _full_scan(s, pds):
-    """The pivot scan from every b0 of B: what the orbit starts must reproduce."""
+    """The pivot scan from every b0 of B: what the orbit starts must reproduce.
+
+    The scan's witness maps s - s[0]; it is moved back to s, as fast_extends_at_q moves its own.
+    """
     s_norm = tuple((x - s[0]) % pds.v for x in s)
     gs = [gcd(x, pds.v) for x in s_norm]
-    return _pivot_scan(ScanTables(pds), s_norm, gs, _best_pivot(gs), pds.elems)
+    out = _pivot_scan(ScanTables(pds), s_norm, gs, _best_pivot(gs), pds.elems)
+    w = out.witness
+    if w is None:
+        return out
+    return CheckOutcome(EXTENDS, AffineWitness(w.q, w.v, w.a, (w.b - w.a * s[0]) % w.v, w.image))
 
 
 def _orbit(b, p, v):
@@ -841,3 +848,43 @@ def test_tile_is_the_preimage_of_b_under_every_map_x(source):
                 # a shorter width, such as a pair's period p or p + n, is a prefix
                 for width in range(n, v + n, n):
                     assert _tile(masks, pds, h, m, b0 % h, width) == tile & (1 << width) - 1
+
+
+def _assert_witness_maps(s, w, pds):
+    """A witness maps the set the kernel was given: sorted((a*x + b) % v for x in s) is its image, inside B."""
+    assert (w.q, w.v) == (pds.q, pds.v) and gcd(w.a, w.v) == 1, (s, w)
+    assert tuple(sorted((w.a * x + w.b) % w.v for x in s)) == w.image, (s, w)
+    assert set(w.image) <= set(pds.elems), (s, w)
+
+
+def test_witness_maps_the_set_given_at_any_offset(source):
+    # the scan embeds s - s[0]; the witness must still map s, whatever s[0]
+    # is, negative or past v included
+    rng = random.Random(6151)
+    sets = []
+    for _ in range(150):
+        s = _random_sidon_set(rng, rng.randint(1, 6), 50)
+        sets.append(tuple(x + rng.randrange(-3000, 3000) for x in s))
+    extending = moved = 0
+    for i, report in fast_check_many(sets, 64, source):
+        if report.extends:
+            _assert_witness_maps(sets[i], report.witness, source.get(report.witness.q))
+            extending += 1
+            moved += sets[i][0] % report.witness.v != 0
+    lone = 0
+    for s in sets[:60]:
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 64):
+            pds = source.get(q)
+            out = fast_extends_at_q(s, pds)
+            if out.kind == EXTENDS:
+                _assert_witness_maps(s, out.witness, pds)
+                lone += 1
+    assert extending > 80 and moved > 80 and lone > 200, (extending, moved, lone)
+    # the oracle keeps the same rule
+    brute = 0
+    for s in sets[:20]:
+        out = brute_force_at_q(s, source.get(4))
+        if out.kind == EXTENDS:
+            _assert_witness_maps(s, out.witness, source.get(4))
+            brute += 1
+    assert brute >= 5, brute
