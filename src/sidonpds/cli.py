@@ -3,8 +3,11 @@
 Machine-readable output (tables, verdict lines, JSONL files) goes to stdout
 or the data root; progress and timing chatter goes to stderr so repeated
 runs with the same flags produce byte-identical stdout.  Exit codes: 0 on
-success, 1 when --check finds a mismatch against the reference counts or the
-PDS cache is missing or corrupt, 2 on usage errors.
+success; 1 when --check finds a mismatch (one MISMATCH line on stderr
+each), when `closure` finds an extending superset of a non-extending base
+(with or without --check), when `singer --method both` finds the two
+constructions not affine-equivalent, or when the PDS cache is missing or
+corrupt; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def _cmd_independent_check(args) -> int:
         else [c.elems for c in pipeline.BASE_CANDIDATES]
     )
     reports = dfs.independent_check(candidates, args.q_lo, args.q_hi, budget)
-    ok = True
+    failures = []
     for rep in reports:
         print(f"=== S = {rep.seed} ===")
         for run in rep.runs:
@@ -165,6 +168,8 @@ def _cmd_independent_check(args) -> int:
         if rep.extends:
             found = next(r for r in rep.runs if r.status == dfs.FOUND)
             print(f" conclusion: extends at v={found.v}")
+            if not args.set:
+                failures.append(f"S = {rep.seed}: base candidate extends at v={found.v}")
         elif rep.no_extension_proven:
             print(
                 f" conclusion: NO extension to any PDS with q in [{args.q_lo}, {args.q_hi}] "
@@ -174,11 +179,8 @@ def _cmd_independent_check(args) -> int:
             reason = ("timeouts present" if any(r.status == dfs.TIMEOUT for r in rep.runs)
                       else f"every order in [{args.q_lo}, {args.q_hi}] was skipped")
             print(f" conclusion: INCONCLUSIVE ({reason})")
-            ok = False
-    if args.check:
-        if not ok or (not args.set and any(r.extends for r in reports)):
-            return 1
-    return 0
+            failures.append(f"S = {rep.seed}: inconclusive ({reason})")
+    return _mismatch_exit(failures) if args.check else 0
 
 
 def _density_row_line(row: pipeline.DensityRow) -> str:

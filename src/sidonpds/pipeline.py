@@ -1,11 +1,14 @@
-"""Experiment drivers: triple verification, dilation families, density scans, closures.
+"""Experiment drivers: density scans, superset closures, triple verification.
 
 The central objects are four size-4 Sidon patterns: {0,1,3,11} and
 {0,1,4,11} plus their reflections.  Everything here classifies Sidon sets
 as extending (some affine image embeds into a cached Singer PDS at a prime
 power q <= q_max) or non-extending within the scanned range, and checks the
 arithmetic facts around them: the non-extenders found by a density scan in
-[0, N] are exactly the dilations k*pattern for 11k <= N, four per k.
+[0, N] are exactly the dilation family, the dilations k*pattern for
+11k <= N, four per k.  `family_dilations` and `family_members` define that
+family, and `completeness_check` compares a scan with it; a set s is in
+the family iff normalize(s) is in family_members(normalize(s)[-1]).
 
 Three independent methods back the non-extension verdicts: the fast
 affine-orbit scan, agreement of that scan with an exhaustive enumeration of
@@ -52,11 +55,6 @@ BASE_CANDIDATES = _FAMILY[0::2] + _FAMILY[1::2]
 CONTROL_CANDIDATES = (
     Candidate((0, 1, 3), "control {0,1,3}"),
     Candidate((0, 1, 3, 19), "control {0,1,3,19}"),
-)
-
-KNOWN_SIZE5_NON_EXTENDERS = (
-    Candidate((1, 2, 4, 8, 13), "{1,2,4,8,13}"),
-    Candidate((1, 3, 9, 10, 13), "{1,3,9,10,13}"),
 )
 
 # Reference counts for the size-4 density scan at q_max = 250:
@@ -185,23 +183,9 @@ def family_members(n_max: int) -> set[tuple[int, ...]]:
     return out
 
 
-def matches_base_family(s) -> tuple[int, str] | None:
-    """If normalize(s) is a dilation of one of the four base patterns, name it."""
-    ns = normalize(s)
-    top = ns[-1]
-    if top == 0 or top % 11:
-        return None
-    k = top // 11
-    for c in _FAMILY:
-        if ns == dilate(c.elems, k):
-            return k, c.label
-    return None
-
-
 @dataclass(frozen=True)
 class CompletenessReport:
     ok: bool
-    expected: tuple[tuple[int, ...], ...]
     missing: tuple[tuple[int, ...], ...]
     unexpected: tuple[tuple[int, ...], ...]
 
@@ -212,27 +196,7 @@ def completeness_check(n_max: int, records) -> CompletenessReport:
     expected = family_members(n_max)
     missing = tuple(sorted(expected - actual))
     unexpected = tuple(sorted(actual - expected))
-    return CompletenessReport(not missing and not unexpected, tuple(sorted(expected)), missing, unexpected)
-
-
-@dataclass(frozen=True)
-class DilationVerdict:
-    k: int
-    label: str
-    elems: tuple[int, ...]
-    report: orbit.CheckReport
-
-
-def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source) -> list[DilationVerdict]:
-    """Fast-check all four patterns at every dilation k = 1..k_max against source's PDSs."""
-    require_cache(source, q_max)
-    members = [
-        (k, c.label if k == 1 else f"{k}*{c.label}", dilate(c.elems, k))
-        for k in range(1, k_max + 1)
-        for c in _FAMILY
-    ]
-    reports = dict(orbit.fast_check_many([s for _, _, s in members], q_max, source))
-    return [DilationVerdict(k, label, s, reports[i]) for i, (k, label, s) in enumerate(members)]
+    return CompletenessReport(not missing and not unexpected, missing, unexpected)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +206,6 @@ def dilation_family_check(k_max: int = 10, q_max: int = 317, *, source) -> list[
 @dataclass(frozen=True)
 class ClosureReport:
     base: tuple[int, ...]
-    target_size: int
-    range_max: int
     precondition_ok: bool  # the base itself is non-extending in the scanned range
     supersets: tuple[EnumerationRecord, ...]
     violations: tuple[tuple[int, ...], ...]
@@ -279,41 +241,7 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
     base_record, *verdicts = _records(sets, q_max, source)  # one batch, the base first
     precondition_ok = not base_record.extends
     violations = tuple(v.elems for v in verdicts if v.extends) if precondition_ok else ()
-    return ClosureReport(base, target_size, range_max, precondition_ok, tuple(verdicts), violations)
-
-
-# ---------------------------------------------------------------------------
-# Sub-pattern novelty: the size-4 patterns are not shadows of known size-5 sets.
-
-
-@dataclass(frozen=True)
-class SubPatternEntry:
-    source_label: str
-    subset: tuple[int, ...]
-    normalized: tuple[int, ...]
-    family_match: tuple[int, str] | None
-
-
-@dataclass(frozen=True)
-class SubPatternReport:
-    ok: bool  # no size-4 sub-pattern of the known size-5 sets is in the family
-    entries: tuple[SubPatternEntry, ...]
-
-
-def sub_pattern_check() -> SubPatternReport:
-    """The four base patterns do not occur inside the known size-5 non-extenders.
-
-    Every size-4 subset of each size-5 set is normalized and matched against
-    all dilations and reflections of the base patterns; a genuinely new
-    family means no subset matches.
-    """
-    entries = []
-    for cand in KNOWN_SIZE5_NON_EXTENDERS:
-        for subset in combinations(cand.elems, 4):
-            entries.append(
-                SubPatternEntry(cand.label, subset, normalize(subset), matches_base_family(subset))
-            )
-    return SubPatternReport(all(e.family_match is None for e in entries), tuple(entries))
+    return ClosureReport(base, precondition_ok, tuple(verdicts), violations)
 
 
 # ---------------------------------------------------------------------------

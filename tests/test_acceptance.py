@@ -55,7 +55,7 @@ def test_criterion_02_density_table(n_max, source):
     assert row.predicted == 4 * (n_max // 11) == row.non_extending
     comp = pipeline.completeness_check(n_max, records)
     assert comp.ok, f"N={n_max}: missing {comp.missing} unexpected {comp.unexpected}"
-    assert set(comp.expected) == pipeline.family_members(n_max)
+    assert {r.elems for r in records if not r.extends} == pipeline.family_members(n_max)
     _ok(f"criterion 2: density row N={n_max} is {EXPECTED_DENSITY[n_max]}, members = dilation family")
 
 
@@ -87,11 +87,13 @@ def test_criterion_04_unconditional_dfs():
 
 
 def test_criterion_05_dilation_family(source):
-    rows = pipeline.dilation_family_check(10, 317, source=source)
-    assert len(rows) == 40
-    for r in rows:
-        assert is_sidon(r.elems), r.label
-        assert not r.report.extends, r.label
+    family = [s for k in range(1, 11) for s in pipeline.family_dilations(k)]
+    assert len(family) == 40
+    reports = dict(orbit.fast_check_many(family, 317, source))
+    assert sorted(reports) == list(range(40))
+    for i, s in enumerate(family):
+        assert is_sidon(s), s
+        assert not reports[i].extends, s
     _ok("criterion 5: all 40 dilation-family sets (k <= 10) non-extending at q <= 317")
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sidonpds import pipeline
 from sidonpds.cache import build_pds_cache, enumeration_path, pds_path
 from sidonpds.cli import main
 
@@ -287,19 +288,33 @@ def test_check_exits_1_on_an_entry_that_is_not_json_integers(tmp_path, capsys):
 @pytest.mark.parametrize("check, code", [((), 0), (("--check",), 1)])
 def test_independent_check_says_when_every_order_was_skipped(capsys, check, code):
     # {0,1,3,11} is too large for q = 2 and collides mod 13 at q = 3
-    got, out, _ = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "2", "--q-hi", "3", *check)
+    got, out, err = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "2", "--q-hi", "3", *check)
     assert got == code
     assert out == "=== S = (0, 1, 3, 11) ===\n conclusion: INCONCLUSIVE (every order in [2, 3] was skipped)\n"
+    mismatch = ["MISMATCH: S = (0, 1, 3, 11): inconclusive (every order in [2, 3] was skipped)"]
+    assert err.splitlines() == (mismatch if check else [])
 
 
 def test_independent_check_says_when_a_run_timed_out(capsys):
     # the search of A at q = 11 takes 1,721 nodes; the deadline is read every 256
-    code, out, _ = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "11", "--q-hi", "11",
-                       "--budget-seconds", "0.001", "--check")
+    code, out, err = run(capsys, "independent-check", "--set", "0,1,3,11", "--q-lo", "11", "--q-hi", "11",
+                         "--budget-seconds", "0.001", "--check")
     assert code == 1
     assert out == (
         "=== S = (0, 1, 3, 11) ===\n q=11, v=133: timeout\n conclusion: INCONCLUSIVE (timeouts present)\n"
     )
+    assert err.splitlines() == ["MISMATCH: S = (0, 1, 3, 11): inconclusive (timeouts present)"]
+
+
+def test_independent_check_flags_a_base_candidate_that_extends(capsys, monkeypatch):
+    # with --check an extending set is a mismatch only among the base candidates
+    monkeypatch.setattr(pipeline, "BASE_CANDIDATES", (pipeline.Candidate((0, 1, 3), "x"),))
+    code, out, err = run(capsys, "independent-check", "--q-hi", "2", "--check")
+    assert code == 1
+    assert out.endswith(" conclusion: extends at v=7\n")
+    assert err.splitlines() == ["MISMATCH: S = (0, 1, 3): base candidate extends at v=7"]
+    code, _, err = run(capsys, "independent-check", "--set", "0,1,3", "--q-hi", "2", "--check")
+    assert (code, err) == (0, "")
 
 
 def test_nan_budget_is_a_usage_error(capsys):

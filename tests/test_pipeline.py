@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -19,18 +20,15 @@ from sidonpds.pipeline import (
     MissingCacheError,
     _exhaustive_extends,
     completeness_check,
-    dilation_family_check,
     enumerate_sidon,
     family_dilations,
     family_members,
     iter_sidon_sets,
-    matches_base_family,
     require_cache,
-    sub_pattern_check,
     superset_closure_check,
     triple_verify,
 )
-from sidonpds.sidon import dilate, reflect
+from sidonpds.sidon import dilate, normalize, reflect
 
 A = (0, 1, 3, 11)
 B = (0, 1, 4, 11)
@@ -66,10 +64,9 @@ def test_density_n22_matches_family(source):
     row, records = enumerate_sidon(22, 4, 250, source=source)
     assert row.non_extending == 8
     assert row.predicted == 8
-    comp = completeness_check(22, records)
-    assert comp.ok
-    assert set(comp.expected) == family_members(22)
-    assert len(comp.expected) == 8
+    assert completeness_check(22, records).ok
+    assert {r.elems for r in records if not r.extends} == family_members(22)
+    assert len(family_members(22)) == 8
 
 
 def test_density_monotone_in_qmax(source):
@@ -122,41 +119,87 @@ def test_each_module_imports_on_its_own(module):
     assert _fresh_python(f"import {module}; print('ok')").strip() == "ok"
 
 
-def test_family_members_and_matcher():
+def _top_level_public_names(path: Path):
+    """(name, first line, last line) of each def, class and assignment at the top of path, no leading _."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node.lineno, node.end_lineno) for name in names if not name.startswith("_"))
+
+
+def _references(path: Path):
+    """(name, line) of every loaded name, attribute, imported name and tracing.TARGETS entry in path."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            yield from ((entry.elts[1].value, entry.lineno) for entry in node.value.elts)
+
+
+def test_every_public_name_is_used_outside_its_definition():
+    # a public name that only tests call is an export nothing uses; the JSONL
+    # reader stays beside its writer so the records can be read back
+    files = sorted([*SRC.rglob("*.py"), *(SRC.parent / "perfbench").rglob("*.py")])
+    refs = [(name, path, line) for path in files for name, line in _references(path)]
+    unused = {
+        f"{path.stem}.{name}"
+        for path in sorted((SRC / "sidonpds").glob("*.py"))
+        for name, lo, hi in _top_level_public_names(path)
+        if not any(r == name and not (rp == path and lo <= line <= hi) for r, rp, line in refs)
+    }
+    assert unused <= {"cache.read_enumeration"}, sorted(unused)
+
+
+def test_family_members_and_membership():
     assert family_dilations(2) == (
         (0, 2, 6, 22),
         (0, 16, 20, 22),
         (0, 2, 8, 22),
         (0, 14, 20, 22),
     )
-    assert matches_base_family(A) == (1, "A")
-    assert matches_base_family(dilate(A, 2)) == (2, "A")
-    assert matches_base_family(tuple(x + 5 for x in dilate(B, 3))) == (3, "B")
-    assert matches_base_family(reflect(A)) == (1, "refl(A)")
-    assert matches_base_family((0, 1, 3, 7)) is None
-    assert matches_base_family((0, 2, 6, 11)) is None
+    # s is in the family iff its translate to 0 is a member that fits under its own top
+    members = [A, dilate(A, 2), tuple(x + 5 for x in dilate(B, 3)), reflect(A)]
+    for s in members + [(0, 1, 3, 7), (0, 2, 6, 11)]:
+        ns = normalize(s)
+        assert (ns in family_members(ns[-1])) == (s in members), s
 
 
-def test_sub_pattern_check_lists_expected_normalized_sets():
-    report = sub_pattern_check()
-    assert report.ok
-    first = {e.normalized for e in report.entries if e.source_label == "{1,2,4,8,13}"}
+def test_no_size4_subset_of_the_size5_non_extenders_is_in_the_family():
+    # the family is new: no 4-subset of {1,2,4,8,13} or {1,3,9,10,13} is a
+    # translate of a family member
+    for s5 in ((1, 2, 4, 8, 13), (1, 3, 9, 10, 13)):
+        for subset in combinations(s5, 4):
+            ns = normalize(subset)
+            assert ns not in family_members(ns[-1]), (s5, subset)
+    first = {normalize(subset) for subset in combinations((1, 2, 4, 8, 13), 4)}
     assert first == {(0, 1, 3, 7), (0, 1, 3, 12), (0, 1, 7, 12), (0, 2, 6, 11), (0, 3, 7, 12)}
-    assert all(e.family_match is None for e in report.entries)
 
 
 def test_dilation_rows_k1_match_candidates(source):
-    rows = dilation_family_check(1, 64, source=source)
-    assert {r.elems for r in rows} == {c.elems for c in BASE_CANDIDATES}
-    assert [r.label for r in rows] == ["A", "refl(A)", "B", "refl(B)"]
-    assert all(not r.report.extends for r in rows)
+    family = family_dilations(1)
+    assert family == (A, reflect(A), B, reflect(B))
+    assert set(family) == {c.elems for c in BASE_CANDIDATES}
+    reports = dict(orbit.fast_check_many(family, 64, source))
+    assert sorted(reports) == [0, 1, 2, 3]
+    assert all(not r.extends for r in reports.values())
 
 
 def test_dilation_family_small(source):
-    rows = dilation_family_check(2, 250, source=source)
-    assert len(rows) == 8
-    assert all(not r.report.extends for r in rows)
-    assert {r.elems for r in rows} == family_members(22)
+    family = [s for k in (1, 2) for s in family_dilations(k)]
+    assert len(family) == 8
+    assert set(family) == family_members(22)
+    reports = dict(orbit.fast_check_many(family, 250, source))
+    assert sorted(reports) == list(range(8))
+    assert all(not r.extends for r in reports.values())
 
 
 def test_superset_gate_on_extending_base(source):
