@@ -23,8 +23,15 @@ Each node branches on how the smallest difference d outside D gets covered
 difference occurs exactly once, so exactly one pair of the final set has
 difference d.  Either it holds one chosen element, and the new element is
 x in (C + d) | (C - d), never both since x would be a midpoint; or it holds
-two new elements y and y + d.  The branches are disjoint and together cover
-every extension, so each solution is reached once, in any order.
+two new elements y and z = y + d.  The branches are disjoint and together
+cover every extension, so each solution is reached once, in any order.
+A pair branch is ruled out without building its state.  With y and z both
+allowed, adding y forbids z in exactly three cases, each one bit of a mask
+the node holds: y - d in C (d would be taken, as y - (y - d)), z + d in C
+(z would be the midpoint of y and z + d) or y + z in C + C (z - c1 = c2 - y
+for chosen c1, c2).  Nothing else forbids z: d itself is uncovered, and z is
+allowed, so it is not in C.  A child is kept only when it has at least as
+many allowed residues as slots to fill.
 
 Find-first returns the least solution, in lex order of the sorted sets.
 That is the set the older search met first, as it added non-seed elements
@@ -32,9 +39,11 @@ in increasing order: for two extensions of one seed the least element of
 their symmetric difference is not in the seed, so the lex order of the full
 sets is the lex order of the added elements.  It tries the children in the
 order of a lower bound on the sets below them and drops a child whose bound
-does not beat the least solution found so far.  The test suite keeps the
-older search, and the one before it that rechecks each candidate pair by
-pair, as oracles for this one.
+does not beat the least solution found so far.  The bound is computed only
+to order two or more children or to prune once a solution is known; a lone
+child before then is entered directly.  The test suite keeps the older
+search, and the one before it that rechecks each candidate pair by pair, as
+oracles for this one.
 
 Timeouts are tracked per search and reported as their own outcome: a timed
 out search proves nothing and is never folded into "exhausted".
@@ -95,6 +104,14 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     not sidon_distinct_mod(seed, v).  The solutions come back sorted.
     Find-first runs the tree to the end, or to the budget, and keeps only
     the least solution.
+
+    Each node rules out a pair branch (y, y + d) by three bit tests on its
+    own masks, with no grow (the three cases in the module docstring), so
+    at two slots a pair goes straight to `leaf`.  A child is kept only when
+    its allowed residues can fill its slots.  Find-first computes the lex
+    bound only to order two or more children or to prune against a known
+    solution; the tree, and so the node count, is the same as when every
+    child is built and bounded.
     """
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
@@ -173,40 +190,51 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
             if node_limit is not None and nodes > node_limit:
                 raise _Stop
         d = (~used & (used + 1)).bit_length() - 1  # the smallest uncovered difference
-        children = []
+        e = v - d
+        children = []  # only children with at least as many allowed residues as slots
         # one new element x = c + d or c - d; never both, x would be a midpoint
-        cand = (members << d | members >> (v - d) | members << (v - d) | members >> d) & allowed
+        cand = (members << d | members >> e | members << e | members >> d) & allowed
         while cand:
             bit = cand & (-cand)
             cand ^= bit
-            x = bit.bit_length() - 1
             if slots == 1:
                 leaf(members | bit)
-            else:
-                children.append((slots - 1, grow(x, used, allowed, members, negs, halves, sums)))
+                continue
+            st = grow(bit.bit_length() - 1, used, allowed, members, negs, halves, sums)
+            if st[1].bit_count() >= slots - 1:
+                children.append((slots - 1, st))
         if slots >= 2:
-            # two new elements y and y + d
-            cand = allowed & (allowed >> d | allowed << (v - d))
+            # two new elements y and z = y + d, both allowed; adding y forbids
+            # z iff y - d or z + d is in C or y + z is in C + C
+            d2 = 2 * d % v
+            cand = allowed & (allowed >> d | allowed << e) & ~(
+                members << d | members >> e | members << (v - d2) | members >> d2)
             while cand:
                 bit = cand & (-cand)
                 cand ^= bit
                 y = bit.bit_length() - 1
                 z = (y + d) % v
-                st = grow(y, used, allowed, members, negs, halves, sums)
-                if not st[1] >> z & 1:
+                if sums >> ((y + z) % v) & 1:
                     continue
                 if slots == 2:
-                    leaf(st[2] | 1 << z)
-                else:
-                    children.append((slots - 2, grow(z, *st)))
-        children = [(k, st) for k, st in children if st[1].bit_count() >= k]
+                    leaf(members | bit | 1 << z)
+                    continue
+                st = grow(z, *grow(y, used, allowed, members, negs, halves, sums))
+                if st[1].bit_count() >= slots - 2:
+                    children.append((slots - 2, st))
         if find_all:
             for k, st in children:
                 recurse(k, *st)
             return
+        if least is None and len(children) == 1:  # nothing to order, nothing to prune
+            k, st = children[0]
+            recurse(k, *st)
+            return
         # find-first: the child that reaches the lowest set first, and none
         # that cannot reach below the least solution found so far
-        for bound, k, st in sorted(((reach(k, st), k, st) for k, st in children), key=lambda c: c[0]):
+        ranked = [(reach(k, st), k, st) for k, st in children]
+        ranked.sort(key=lambda c: c[0])
+        for bound, k, st in ranked:
             if least is not None and bound >= least:
                 return
             recurse(k, *st)

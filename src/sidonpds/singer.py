@@ -21,7 +21,8 @@ whose characteristic polynomial is primitive: over one full period q^3 - 1
 the sequence has exactly q^2 - 1 zero positions, and those positions
 collapse mod v onto exactly q+1 residues forming a perfect difference set
 in the same affine orbit.  The two constructions are compared with
-affine_equivalent, which searches the group (Z_v)* x Z_v directly.
+affine_equivalent, which tries every unit of Z_v and reads the shifts
+worth trying off a table of the target set's differences.
 """
 
 from __future__ import annotations
@@ -308,9 +309,13 @@ def singer_pds_recurrence(q: int, coeffs: RecurrenceCoeffs) -> Pds:
 def affine_equivalent(v: int, b1, b2) -> tuple[int, int] | None:
     """Witness (a, b) with gcd(a, v) = 1 and a*b1 + b == b2 as subsets of Z_v, or None.
 
-    Scans units a ascending and, for each, the |b2| shifts that could align
-    the first image element; the first witness found is returned, so the
-    result is deterministic.
+    Scans units a ascending and, for each, the shifts that could align the
+    first image element; the first witness found is returned, so the result
+    is deterministic.  With x0 the least residue of b1 and x1 the next
+    distinct one, a witness maps x0 to some t of b2 whose partner
+    t + a*(x1 - x0) is in b2 too, so only those t are tried, ascending, read
+    from a table of b2's pairs by difference.  In a PDS every nonzero
+    difference occurs once, so each unit has one t to try.
     """
     xs1 = sorted(x % v for x in b1)
     xs2 = sorted(x % v for x in b2)
@@ -319,15 +324,21 @@ def affine_equivalent(v: int, b1, b2) -> tuple[int, int] | None:
     if not xs1:
         return (1, 0)
     set2 = frozenset(xs2)
+    ts = sorted(set2)
     first = xs1[0]
     rest = xs1[1:]
+    gap = next((x - first for x in rest if x != first), None)
+    starts: dict[int, list[int]] = {}  # difference -> the t of b2 it leads from, ascending
+    for t in ts:
+        for u in ts:
+            if u != t:
+                starts.setdefault((u - t) % v, []).append(t)
     for a in range(1, v):
         if gcd(a, v) != 1:
             continue
         img0 = (a * first) % v
-        imgs = [(a * x) % v for x in rest]
-        for t in xs2:
+        for t in ts if gap is None else starts.get(a * gap % v, ()):
             b = (t - img0) % v
-            if all((y + b) % v in set2 for y in imgs):
+            if all((a * x + b) % v in set2 for x in rest):
                 return (a, b)
     return None

@@ -339,6 +339,18 @@ def test_rejects_bad_parameters():
         find_pds_extension((0, 1, 3, 7, 12), 13)  # seed larger than the size 4
 
 
+# The size of the search tree, pinned: a change to the branching, the child
+# order or the bound shows here, and must say so.
+@pytest.mark.parametrize(
+    "v,n,seed,find_all,status,nodes",
+    [(133, 12, A, False, EXHAUSTED, 1721), (133, 12, (0, 1), False, FOUND, 17771),
+     (73, 9, (0, 1), True, FOUND, 2833)],
+    ids=["A-133", "01-133", "01-73-all"],
+)
+def test_search_tree_size_is_pinned(v, n, seed, find_all, status, nodes):
+    assert _search(v, n, seed, find_all=find_all, budget=None)[1:] == (status, nodes)
+
+
 def test_size_follows_from_the_modulus():
     # v = n(n-1) + 1 fixes the size n; every other modulus is refused
     sizes = {n * (n - 1) + 1: n for n in range(2, 16)}

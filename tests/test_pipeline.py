@@ -16,6 +16,7 @@ from sidonpds.pipeline import (
     BASE_CANDIDATES,
     CONTROL_CANDIDATES,
     DEFAULT_ENUMERATION_MODULI,
+    REFERENCE_DENSITY,
     Candidate,
     MissingCacheError,
     _exhaustive_extends,
@@ -243,6 +244,19 @@ def test_superset_counts_ground_truth(source):
 
     for size, range_max, expected in ((5, 30, 13), (5, 33, 16), (6, 30, 30), (6, 50, 335)):
         assert brute_force_count(size, range_max) == expected, (size, range_max)
+
+
+@pytest.mark.parametrize("n_max, total", [(20, 802), (30, 3254), (40, 8406), (50, 17256)])
+def test_density_totals_ground_truth(n_max, total):
+    # a count that shares no code with sidonpds: every {0, a, b, c} with
+    # 0 < a < b < c <= n_max whose six differences are distinct
+    count = 0
+    for c in range(3, n_max + 1):
+        for b in range(2, c):
+            for a in range(1, b):
+                count += len({a, b, c, b - a, c - a, c - b}) == 6
+    assert count == total
+    assert REFERENCE_DENSITY[n_max][0] == total
 
 
 def test_reflection_verdict_symmetry(source):

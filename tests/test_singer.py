@@ -1,5 +1,6 @@
+import random
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -43,6 +44,31 @@ def _power_iteration_trace_zeros(ctx, g, sub_degree, count):
             out.append(i)
         s = [sum(r * x for r, x in zip(row, s)) % p for row in mul_rows]
     return out
+
+
+# affine_equivalent before its table of differences: every unit a, then every
+# shift that sends the least residue of b1 onto an element of b2.  Kept as
+# the oracle for the table version.
+def _affine_equivalent_scan(v: int, b1, b2) -> tuple[int, int] | None:
+    xs1 = sorted(x % v for x in b1)
+    xs2 = sorted(x % v for x in b2)
+    if len(xs1) != len(xs2):
+        return None
+    if not xs1:
+        return (1, 0)
+    set2 = frozenset(xs2)
+    first = xs1[0]
+    rest = xs1[1:]
+    for a in range(1, v):
+        if gcd(a, v) != 1:
+            continue
+        img0 = (a * first) % v
+        imgs = [(a * x) % v for x in rest]
+        for t in xs2:
+            b = (t - img0) % v
+            if all((y + b) % v in set2 for y in imgs):
+                return (a, b)
+    return None
 
 
 def _trace_setup(q):
@@ -296,3 +322,33 @@ def test_affine_equivalent_witness_is_sound():
     a, b = affine_equivalent(31, tr.elems, rec.elems)
     image = sorted((a * x + b) % 31 for x in tr.elems)
     assert tuple(image) == rec.elems
+
+
+def test_affine_equivalent_matches_the_scan_oracle():
+    # general inputs at small v: non-PDS sets, repeated residues, residues
+    # outside [0, v), sizes 0 and 1, and images of b1 so that witnesses occur
+    rng = random.Random(26)
+    witnesses = 0
+    for _ in range(3000):
+        v = rng.randint(1, 40)
+        k = rng.randint(0, 6)
+        b1 = [rng.randint(-v, 2 * v) for _ in range(k)]
+        if rng.random() < 0.5:
+            a = rng.choice([u for u in range(1, v + 1) if gcd(u, v) == 1])
+            b = rng.randrange(v)
+            b2 = [a * x + b + v * rng.randint(-1, 1) for x in b1]
+            rng.shuffle(b2)
+        else:
+            b2 = [rng.randint(0, v - 1) for _ in range(k + rng.choice((-1, 0, 0, 1)))]
+        got = affine_equivalent(v, b1, b2)
+        assert got == _affine_equivalent_scan(v, b1, b2), (v, b1, b2)
+        witnesses += got is not None
+    assert witnesses > 1000
+
+
+def test_affine_equivalent_matches_the_scan_oracle_on_singer_sets():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        tr = singer_pds_trace(q)
+        rec = singer_pds_recurrence(q, find_primitive_coeffs(q))
+        for b1, b2 in ((tr.elems, rec.elems), (rec.elems, tr.elems), (tr.elems, tr.elems)):
+            assert affine_equivalent(tr.v, b1, b2) == _affine_equivalent_scan(tr.v, b1, b2), q
