@@ -150,9 +150,10 @@ def _cmd_independent_check(args) -> int:
         if args.set
         else [c.elems for c in pipeline.BASE_CANDIDATES]
     )
-    reports = dfs.independent_check(candidates, args.q_lo, args.q_hi, budget)
     failures = []
-    for rep in reports:
+    for s in candidates:
+        # one candidate at a time: its block is out before the next search starts
+        rep = dfs.independent_check([s], args.q_lo, args.q_hi, budget)[0]
         print(f"=== S = {rep.seed} ===")
         for run in rep.runs:
             if run.status == dfs.FOUND:
@@ -180,6 +181,7 @@ def _cmd_independent_check(args) -> int:
                       else f"every order in [{args.q_lo}, {args.q_hi}] was skipped")
             print(f" conclusion: INCONCLUSIVE ({reason})")
             failures.append(f"S = {rep.seed}: inconclusive ({reason})")
+        sys.stdout.flush()
     return _mismatch_exit(failures) if args.check else 0
 
 

@@ -41,9 +41,18 @@ sets is the lex order of the added elements.  It tries the children in the
 order of a lower bound on the sets below them and drops a child whose bound
 does not beat the least solution found so far.  The bound is computed only
 to order two or more children or to prune once a solution is known; a lone
-child before then is entered directly.  The test suite keeps the older
-search, and the one before it that rechecks each candidate pair by pair, as
-oracles for this one.
+child before then is entered directly.  Until a solution is known the bound
+prunes nothing, so a subtree that holds no solution has the same nodes in
+any order: each node's children depend only on its state.  So a ranked
+node first searches each child's subtree with no bound, the way find-all
+does.  When that pass ends, the subtree holds no solution and its count
+stands.  When it meets a leaf, or the node limit, its count is dropped and
+the child is searched a second time, ranked, with the same rule at each of
+its own children.  The tree and the node count are those of the ranked
+search alone, and a proof that exhausts computes the bound only down to
+the first node with two children.  The test suite keeps the older search,
+and the one before it that rechecks each candidate pair by pair, as oracles
+for this one.
 
 Timeouts are tracked per search and reported as their own outcome: a timed
 out search proves nothing and is never folded into "exhausted".
@@ -91,7 +100,15 @@ class DfsRun:
 
 
 class _Stop(Exception):
+    """The budget ran out: the deadline passed, or the node limit (`_NodeLimit`)."""
+
+
+class _NodeLimit(_Stop):
     pass
+
+
+class _Met(Exception):
+    """A bound-free pass of find-first reached a leaf."""
 
 
 def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
@@ -111,7 +128,13 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     its allowed residues can fill its slots.  Find-first computes the lex
     bound only to order two or more children or to prune against a known
     solution; the tree, and so the node count, is the same as when every
-    child is built and bounded.
+    child is built and bounded.  While no solution is known, a ranked node
+    enters each child through `visit`: a bound-free pass over the subtree,
+    which keeps its count when it ends, since the ranked search would visit
+    the same nodes in another order, and is dropped for a second, ranked
+    search of the child when it meets a leaf or the node limit.  If the
+    deadline stops the search before the ranked search meets a solution, the
+    least solution a dropped pass met is returned.
     """
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
@@ -146,6 +169,8 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     nodes = 0
     solutions: list[tuple[int, ...]] = []
     least = None  # find-first: the rank of the least solution so far
+    free = find_all  # expand every child with no bound: find-all, or a pass
+    met = None  # find-first: the least solution met by a dropped pass
 
     def rank(members: int) -> str:
         """One character per residue, "0" for a member.
@@ -171,12 +196,16 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
         return rank(st[2])
 
     def leaf(members: int):
-        nonlocal least
+        nonlocal least, met
         sol = tuple(y for y in range(v) if members >> y & 1)
         if not verify_pds(sol, v):
             raise AssertionError(f"DFS leaf is not a perfect difference set: {sol}")
         if find_all:
             solutions.append(sol)
+        elif free:
+            if met is None or sol < met:
+                met = sol
+            raise _Met
         elif not solutions or sol < solutions[0]:
             solutions[:] = [sol]
             least = rank(members)
@@ -188,7 +217,7 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
             if node_limit is not None and nodes > node_limit:
-                raise _Stop
+                raise _NodeLimit
         d = (~used & (used + 1)).bit_length() - 1  # the smallest uncovered difference
         e = v - d
         children = []  # only children with at least as many allowed residues as slots
@@ -222,7 +251,7 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
                 st = grow(z, *grow(y, used, allowed, members, negs, halves, sums))
                 if st[1].bit_count() >= slots - 2:
                     children.append((slots - 2, st))
-        if find_all:
+        if free:
             for k, st in children:
                 recurse(k, *st)
             return
@@ -235,15 +264,37 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
         ranked = [(reach(k, st), k, st) for k, st in children]
         ranked.sort(key=lambda c: c[0])
         for bound, k, st in ranked:
-            if least is not None and bound >= least:
+            if least is None:
+                visit(k, st)
+            elif bound >= least:
                 return
-            recurse(k, *st)
+            else:
+                recurse(k, *st)
+
+    def visit(slots: int, st):
+        """Search a child of a ranked node while no solution is known: a
+        bound-free pass, then a ranked search if the pass is dropped."""
+        nonlocal nodes, free
+        entry = nodes
+        free = True
+        try:
+            recurse(slots, *st)
+            return
+        except (_Met, _NodeLimit):
+            nodes = entry
+        finally:
+            free = False
+        recurse(slots, *st)
 
     status = EXHAUSTED
     try:
         recurse(n - len(base), *state)
+    except _NodeLimit:
+        status = TIMEOUT
     except _Stop:
         status = TIMEOUT
+        if met is not None:  # verified by leaf, and it holds the seed
+            solutions[:] = [min(solutions + [met])]
     solutions.sort()
     # an enumeration that ran to completion, or find-first with the least
     # solution met, whether or not the budget ran out

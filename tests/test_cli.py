@@ -1,10 +1,12 @@
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from sidonpds import pipeline
+from sidonpds import dfs, pipeline
 from sidonpds.cache import build_pds_cache, enumeration_path, pds_path
 from sidonpds.cli import main
 
@@ -315,6 +317,27 @@ def test_independent_check_flags_a_base_candidate_that_extends(capsys, monkeypat
     assert err.splitlines() == ["MISMATCH: S = (0, 1, 3): base candidate extends at v=7"]
     code, _, err = run(capsys, "independent-check", "--set", "0,1,3", "--q-hi", "2", "--check")
     assert (code, err) == (0, "")
+
+
+def test_independent_check_writes_each_block_before_the_next_search(capsys, monkeypatch):
+    argv = ["independent-check", "--q-lo", "5", "--q-hi", "5"]
+    _, want, _ = run(capsys, *argv)
+    # a buffered stdout: text reaches `written` only when it is flushed
+    written = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="utf-8"))
+    search = dfs.find_pds_extension
+    before = {}  # seed -> the stdout bytes written when its first search starts
+
+    def spy(s, v, budget=None):
+        before.setdefault(s, written.getvalue().decode())
+        return search(s, v, budget)
+
+    monkeypatch.setattr(dfs, "find_pds_extension", spy)
+    assert main(argv) == 0
+    sys.stdout.flush()
+    seeds = [c.elems for c in pipeline.BASE_CANDIDATES]
+    assert before == {s: want[:want.index(f"=== S = {s} ===")] for s in seeds}
+    assert written.getvalue().decode() == want
 
 
 def test_nan_budget_is_a_usage_error(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from sidonpds import dfs
 from sidonpds.dfs import (
     _TIME_CHECK_QUANTUM,
     EXHAUSTED,
@@ -19,6 +20,7 @@ from sidonpds.dfs import (
     find_pds_extension,
     independent_check,
 )
+from sidonpds.pipeline import family_members
 from sidonpds.sidon import is_sidon, sidon_distinct_mod, verify_pds
 from sidonpds.singer import affine_equivalent, singer_pds_trace
 
@@ -384,6 +386,50 @@ def test_budget_that_stops_after_an_extension_reports_it():
     assert out.nodes < 8000 + _TIME_CHECK_QUANTUM
     assert {0, 1} <= set(out.pds)
     assert verify_pds(out.pds, 133)
+
+
+def test_dilation_family_proofs_to_q11_take_45334_nodes():
+    # the seeded part of the benchmark's dfs workload: every search exhausts,
+    # so it runs on bound-free passes that are never dropped
+    reports = independent_check(sorted(family_members(50)), 2, 11)
+    assert len(reports) == 16 and all(rep.no_extension_proven for rep in reports)
+    runs = [r for rep in reports for r in rep.runs if r.status not in (SKIP_SIZE, SKIP_COLLISION)]
+    assert {r.status for r in runs} == {EXHAUSTED}
+    assert sum(r.nodes for r in runs) == 45334
+
+
+# Found and node-limited runs drop each pass that meets a leaf or the node
+# limit, and keep the count, the status and the witness of the ranked search.
+# At v = 133 the limit of 8,000 stops the search at its first witness; a
+# dropped pass met a lesser one, (0, 1, 3, 17, 21, ...), which a node limit
+# never reports.
+@pytest.mark.parametrize(
+    "seed,v,node_limit,status,nodes,pds",
+    [((0, 1, 3), 91, None, FOUND, 926, (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)),
+     ((0, 1), 133, 1000, TIMEOUT, 1024, None),
+     ((0, 1), 133, 8000, FOUND, 8192, (0, 1, 3, 17, 29, 61, 80, 86, 91, 95, 113, 126))],
+    ids=["013-91", "01-133-limit1000", "01-133-limit8000"],
+)
+def test_found_and_node_limited_runs_are_pinned(seed, v, node_limit, status, nodes, pds):
+    out = find_pds_extension(seed, v, DfsBudget(time_limit_s=60, node_limit=node_limit))
+    assert (out.status, out.nodes, out.pds) == (status, nodes, pds)
+
+
+def test_deadline_after_a_dropped_pass_met_an_extension_reports_it(monkeypatch):
+    # (0, 1) at v = 133: the first bound-free pass meets an extension after
+    # 6,400 nodes and is dropped, and the ranked search starts its count over.
+    # The clock reads 0 at the two starts and the checks at nodes 256 to
+    # 6,400, then jumps past the deadline, so the deadline fires at node 256
+    # of the ranked search, which has met no extension there (the node limit
+    # below stops at the same node with none).
+    readings = iter([0.0] * 27)
+    with monkeypatch.context() as m:
+        m.setattr(dfs.time, "monotonic", lambda: next(readings, 1e9))
+        out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=60))
+    assert (out.status, out.nodes) == (FOUND, 256)
+    assert {0, 1} <= set(out.pds) and verify_pds(out.pds, 133)
+    ranked = _search(133, 12, (0, 1), find_all=False, budget=DfsBudget(time_limit_s=60, node_limit=255))
+    assert ranked == ([], TIMEOUT, 256)
 
 
 def test_budget_validation():
