@@ -6,9 +6,11 @@ Layout under a data root (flag, SIDONPDS_DATA_ROOT, or ./data):
     size{k}_N{N}_qmax{Q}_fast.jsonl one line per enumerated Sidon set
 
 Cache entries are written with a fixed key order and sorted residues so a
-rebuild produces byte-identical files.  Every load re-verifies the perfect
-difference property; a file that fails verification raises instead of being
-silently skipped, since a scan with gaps would weaken non-extension claims.
+rebuild produces byte-identical files; so are the JSONL records, which are
+output for the reader: nothing in the package reads them back.  Every load
+re-verifies the perfect difference property; a file that fails verification
+raises instead of being silently skipped, since a scan with gaps would
+weaken non-extension claims.
 Writes go through a temp file and rename, so a crash never leaves a torn
 entry behind.
 """
@@ -157,33 +159,3 @@ def write_enumeration(records, path) -> None:
     text = "".join(line + "\n" for line in lines)
     _atomic_write(Path(path), text)
 
-
-def read_enumeration(path) -> list[EnumerationRecord]:
-    """Parse a JSONL file written by write_enumeration back into records.
-
-    Nothing in the pipeline reads its own output back; this stays as the
-    format's reader next to its writer, and the round-trip tests use it.
-    As load_pds does for cache entries, a value of the wrong JSON type is
-    not coerced: set must be a list of integers, extends a boolean,
-    q_witness an integer or null and q_max an integer (a boolean is not an
-    integer here), or the line is malformed.
-    """
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                elems, extends, q_witness, q_max = (obj[key] for key in ("set", "extends", "q_witness", "q_max"))
-                if not (type(elems) is list and type(extends) is bool
-                        and all(type(x) is int for x in (*elems, q_max))
-                        and (q_witness is None or type(q_witness) is int)):
-                    raise ValueError("malformed record (set needs JSON integers, extends a boolean, "
-                                     "q_witness an integer or null, q_max an integer)")
-                rec = EnumerationRecord(tuple(elems), extends, q_witness, q_max)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            out.append(rec)
-    return out

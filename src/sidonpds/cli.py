@@ -152,10 +152,11 @@ def _cmd_independent_check(args) -> int:
     )
     failures = []
     for s in candidates:
-        # one candidate at a time: its block is out before the next search starts
-        rep = dfs.independent_check([s], args.q_lo, args.q_hi, budget)[0]
-        print(f"=== S = {rep.seed} ===")
-        for run in rep.runs:
+        runs = []
+        for run in dfs.independent_runs(s, args.q_lo, args.q_hi, budget):
+            if not runs:  # the q range is checked before the first run: a bad one prints nothing
+                print(f"=== S = {s} ===")
+            runs.append(run)
             if run.status == dfs.FOUND:
                 print(f" q={run.q}, v={run.v}: EXTENDS via B={list(run.pds)}")
             elif run.status == dfs.EXHAUSTED:
@@ -164,8 +165,10 @@ def _cmd_independent_check(args) -> int:
                 print(f" q={run.q}, v={run.v}: timeout")
             elif args.verbose:
                 print(f" q={run.q}, v={run.v}: skipped ({run.status})")
+            sys.stdout.flush()  # each order's line is out before the next search starts
             if run.status != dfs.FOUND and args.verbose:
                 _eprint(f"   q={run.q}: {run.elapsed:.2f}s, {run.nodes} nodes")
+        rep = dfs.IndependentReport(s, tuple(runs))
         if rep.extends:
             found = next(r for r in rep.runs if r.status == dfs.FOUND)
             print(f" conclusion: extends at v={found.v}")
@@ -211,6 +214,8 @@ def _check_density_row(row: pipeline.DensityRow, records, failures):
 
 def _cmd_density(args) -> int:
     """enumerate (one N, any size) and density-table (several N, size 4)."""
+    if min(args.n_max) < 0:  # before any row is printed or file written
+        _usage_error(f"N must be non-negative, got {min(args.n_max)}")
     src = orbit.PdsSource(args.data_root)
     failures: list[str] = []
     for i, n_max in enumerate(args.n_max):

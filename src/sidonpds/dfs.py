@@ -365,45 +365,47 @@ class IndependentReport:
 
     seed: tuple[int, ...]
     runs: tuple[DfsRun, ...]
-    extends: bool
-    witness: tuple[int, ...] | None
-    no_extension_proven: bool  # every applicable modulus exhausted, none found
+
+    @property
+    def extends(self) -> bool:
+        return any(r.status == FOUND for r in self.runs)
+
+    @property
+    def no_extension_proven(self) -> bool:
+        """Every applicable modulus exhausted, none found; a timeout disqualifies the claim."""
+        applicable = [r for r in self.runs if r.status in (FOUND, EXHAUSTED, TIMEOUT)]
+        return bool(applicable) and all(r.status == EXHAUSTED for r in applicable)
+
+
+def independent_runs(s, q_lo: int = 2, q_hi: int = 11, budget: DfsBudget | None = None):
+    """Seeded DFS of s at each q in [q_lo, q_hi], prime power or not, in turn.
+
+    Yields each order's DfsRun as soon as that order is decided, and stops
+    after the first found run.  A seed too large for the target size or
+    colliding mod v is yielded as a skip; those moduli cannot host an
+    embedding in the first place.  A bad range raises ValueError at the
+    first next(), before any search.
+    """
+    if q_lo < 2 or q_hi < q_lo:
+        raise ValueError(f"bad q range [{q_lo}, {q_hi}]")
+    for q in range(q_lo, q_hi + 1):
+        v = q * q + q + 1
+        if len(s) > q + 1:
+            yield DfsRun(q, v, SKIP_SIZE, 0.0, 0, None)
+        elif not sidon_distinct_mod(s, v):
+            yield DfsRun(q, v, SKIP_COLLISION, 0.0, 0, None)
+        else:
+            run = find_pds_extension(s, v, budget)
+            yield run
+            if run.status == FOUND:
+                return
 
 
 def independent_check(candidates, q_lo: int = 2, q_hi: int = 11,
                       budget: DfsBudget | None = None) -> list[IndependentReport]:
-    """Seeded DFS over every q in [q_lo, q_hi], prime power or not.
-
-    A seed too large for the target size or colliding mod v is recorded as a
-    skip; those moduli cannot host an embedding in the first place.  The
-    aggregate only claims a proof of non-extension when every applicable
-    modulus was exhausted; timeouts disqualify the claim but are still
-    reported run by run.
-    """
-    if q_lo < 2 or q_hi < q_lo:
-        raise ValueError(f"bad q range [{q_lo}, {q_hi}]")
+    """One IndependentReport per candidate, its runs from independent_runs."""
     reports = []
     for s in candidates:
         s = tuple(sorted(s))
-        runs: list[DfsRun] = []
-        witness = None
-        for q in range(q_lo, q_hi + 1):
-            v = q * q + q + 1
-            if len(s) > q + 1:
-                runs.append(DfsRun(q, v, SKIP_SIZE, 0.0, 0, None))
-                continue
-            if not sidon_distinct_mod(s, v):
-                runs.append(DfsRun(q, v, SKIP_COLLISION, 0.0, 0, None))
-                continue
-            run = find_pds_extension(s, v, budget)
-            runs.append(run)
-            if run.status == FOUND:
-                witness = run.pds
-                break
-        extends = witness is not None
-        applicable = [r for r in runs if r.status in (FOUND, EXHAUSTED, TIMEOUT)]
-        proven = (not extends) and bool(applicable) and all(
-            r.status == EXHAUSTED for r in applicable
-        )
-        reports.append(IndependentReport(s, tuple(runs), extends, witness, proven))
+        reports.append(IndependentReport(s, tuple(independent_runs(s, q_lo, q_hi, budget))))
     return reports

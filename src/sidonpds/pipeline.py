@@ -249,24 +249,10 @@ def superset_closure_check(s, target_size: int, range_max: int, q_max: int = 317
 
 
 @dataclass(frozen=True)
-class OrbitCrossCheck:
-    """At one small modulus: the full PDS list vs the Singer-orbit shortcut."""
-
-    q: int
-    v: int
-    enumerated_total: int
-    all_in_singer_orbit: bool
-    exhaustive_extends: bool  # some enumerated PDS hosts an image of the set
-    fast_kind: str  # outcome kind of the cached-Singer check at this q
-    agree: bool
-
-
-@dataclass(frozen=True)
 class TripleVerdict:
     candidate: Candidate
     method1: orbit.CheckReport
-    method2: tuple[OrbitCrossCheck, ...]
-    method2_agree: bool
+    method2_agree: bool  # at every order: one affine orbit, and the full list agrees with the Singer set
     method3: dfs.IndependentReport
     non_extending: bool
     is_control: bool
@@ -293,40 +279,41 @@ def triple_verify(q_max_fast: int = 317, dfs_q_lo: int = 2, dfs_q_hi: int = 11,
     from that PDS alone (the uniqueness assumption carries no weight at
     these sizes).  Both checks are invariant under translation, so one
     member per class decides them for the whole class.  Each order is one
-    pass: enumerate, test the orbit, report progress, then append every
-    candidate's OrbitCrossCheck; no enumeration is kept past its pass.
+    pass: enumerate, test the orbit, report progress, then fold every
+    candidate's two verdicts into its method2_agree and into whether some
+    enumerated PDS hosts an image; no enumeration is kept past its pass.
     Method 3: seeded DFS, no Singer input at all.  The cache must cover
     q_max_fast and every enumeration order.
     """
     orders = [((isqrt(4 * v - 3) - 1) // 2, v) for v in DEFAULT_ENUMERATION_MODULI]
     require_cache(source, max(q_max_fast, *(q for q, _ in orders)))
     candidates = BASE_CANDIDATES + CONTROL_CANDIDATES
-    crosses = [[] for _ in candidates]  # each candidate's OrbitCrossCheck per order
+    agree = [True] * len(candidates)
+    exhaustive = [False] * len(candidates)  # some enumerated PDS hosts an image
     for q, v in orders:
         all_pds, total = dfs.enumerate_all_pds(v)
         pds = source.get(q)
         orbit_ok = dfs.all_in_singer_orbit(v, all_pds, pds)
         if progress is not None:
             progress(f"enumerated v={v}: {total} perfect difference sets")
-        for cand, checks in zip(candidates, crosses):
+        for i, cand in enumerate(candidates):
             slow = _exhaustive_extends(cand.elems, q, v, all_pds)
-            fast_kind = orbit.fast_extends_at_q(cand.elems, pds).kind
             # a collision or size skip rules out embeddings just as a clean
             # no-image scan does; both must then agree with the full list
-            agree = slow == (fast_kind == orbit.EXTENDS)
-            checks.append(OrbitCrossCheck(q, v, total, orbit_ok, slow, fast_kind, agree))
+            fast = orbit.fast_extends_at_q(cand.elems, pds).kind == orbit.EXTENDS
+            agree[i] = agree[i] and orbit_ok and slow == fast
+            exhaustive[i] = exhaustive[i] or slow
     method1 = dict(orbit.fast_check_many([c.elems for c in candidates], q_max_fast, source))
     verdicts = []
     for i, cand in enumerate(candidates):
-        m1, m2 = method1[i], tuple(crosses[i])
+        m1 = method1[i]
         m3 = dfs.independent_check([cand.elems], dfs_q_lo, dfs_q_hi, budget)[0]
         verdict = TripleVerdict(
             candidate=cand,
             method1=m1,
-            method2=m2,
-            method2_agree=all(c.agree and c.all_in_singer_orbit for c in m2),
+            method2_agree=agree[i],
             method3=m3,
-            non_extending=not (m1.extends or any(c.exhaustive_extends for c in m2) or m3.extends),
+            non_extending=not (m1.extends or exhaustive[i] or m3.extends),
             is_control=cand in CONTROL_CANDIDATES,
         )
         verdicts.append(verdict)

@@ -110,6 +110,14 @@ def test_triple_verify_small_scope_check_mode(capsys, data_root):
     assert sum("non_extending=False" in l for l in lines) == 2  # the two controls
 
 
+def test_triple_verify_check_prints_the_readme_verdicts(capsys, data_root):
+    # the default ranges, as the README runs it: the last six golden lines
+    golden = (Path(__file__).parent / "golden" / "readme_full.stdout").read_text()
+    code, out, err = run(capsys, "--data-root", data_root, "triple-verify", "--check")
+    assert (code, err) == (0, "")
+    assert out == "".join(golden.splitlines(keepends=True)[-6:])
+
+
 def exit_code(*argv) -> int:
     try:
         return main(list(argv))
@@ -144,6 +152,20 @@ def test_exit_codes(capsys, data_root, tmp_path, argv, cached, code):
     root = data_root if cached else str(tmp_path)
     assert exit_code("--data-root", root, "--jobs", "1", *argv) == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "-3", "4", "13"),
+    ("density-table", "20", "-3", "--q-max", "13"),
+    ("independent-check", "--q-lo", "5", "--q-hi", "4"),
+], ids=lambda argv: argv[0])
+def test_usage_error_prints_no_row_and_writes_no_file(capsys, data_root, tmp_path, argv):
+    # no row (a negative N would predict 4*floor(-3/11) = -4 sets) and no empty JSONL file
+    (tmp_path / "pds_cache").symlink_to(f"{data_root}/pds_cache")
+    assert exit_code("--data-root", str(tmp_path), *argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["pds_cache"]
 
 
 def test_missing_cache_names_build_command(tmp_path, capsys):
@@ -338,6 +360,32 @@ def test_independent_check_writes_each_block_before_the_next_search(capsys, monk
     seeds = [c.elems for c in pipeline.BASE_CANDIDATES]
     assert before == {s: want[:want.index(f"=== S = {s} ===")] for s in seeds}
     assert written.getvalue().decode() == want
+
+
+def test_independent_check_writes_each_run_before_the_next_search(capsys, monkeypatch):
+    argv = ["independent-check", "--q-lo", "5", "--q-hi", "6", "--verbose"]
+    _, want, _ = run(capsys, *argv)
+    # where each run's line ends in the full stdout, in run order
+    ends, pos = [], 0
+    for line in want.splitlines(keepends=True):
+        pos += len(line)
+        if line.startswith(" q="):
+            ends.append(pos)
+    written = io.BytesIO()  # a buffered stdout: text reaches it only when flushed
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="utf-8"))
+    search = dfs.find_pds_extension
+    seen = []  # (stdout flushed, stderr written) when each search starts
+
+    def spy(s, v, budget=None):
+        seen.append((written.getvalue().decode(), capsys.readouterr().err))
+        return search(s, v, budget)
+
+    monkeypatch.setattr(dfs, "find_pds_extension", spy)
+    assert main(argv) == 0
+    assert len(seen) == len(ends) == 8  # four seeds, two orders each, every one searched
+    for k, (out, err) in enumerate(seen):
+        assert want.startswith(out) and len(out) >= (ends[k - 1] if k else 0), k
+        assert err.count(" nodes\n") == (1 if k else 0), k  # the previous run's --verbose line
 
 
 def test_nan_budget_is_a_usage_error(capsys):
