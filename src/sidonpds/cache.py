@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .fields import is_prime_power
 from .sidon import Pds, verify_pds
@@ -34,8 +34,7 @@ class CacheIntegrityError(Exception):
     """A cache file exists but its contents fail validation."""
 
 
-@dataclass(frozen=True)
-class EnumerationRecord:
+class EnumerationRecord(NamedTuple):
     """Classification of one enumerated Sidon set up to the scan bound q_max."""
 
     elems: tuple[int, ...]

@@ -61,8 +61,8 @@ out search proves nothing and is never folded into "exhausted".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .sidon import SKIP_COLLISION, SKIP_SIZE, Pds, sidon_distinct_mod, verify_pds
 from .singer import affine_equivalent
@@ -74,21 +74,25 @@ TIMEOUT = "timeout"
 _TIME_CHECK_QUANTUM = 256
 
 
-@dataclass(frozen=True)
-class DfsBudget:
-    time_limit_s: float = 60.0
-    node_limit: int | None = None
+# a NamedTuple body may not define __new__, so the validating class extends it
+class _DfsBudgetFields(NamedTuple):
+    time_limit_s: float
+    node_limit: int | None
 
-    def __post_init__(self):
-        if not self.time_limit_s > 0:  # NaN too: it would never pass the deadline
+
+class DfsBudget(_DfsBudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, time_limit_s: float = 60.0, node_limit: int | None = None):
+        if not time_limit_s > 0:  # NaN too: it would never pass the deadline
             raise ValueError("time_limit_s must be positive")
-        limit = self.node_limit
-        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
-            raise ValueError(f"node_limit must be None or an int >= 1, not {limit!r}")
+        if node_limit is not None and (isinstance(node_limit, bool) or not isinstance(node_limit, int)
+                                       or node_limit < 1):
+            raise ValueError(f"node_limit must be None or an int >= 1, not {node_limit!r}")
+        return super().__new__(cls, time_limit_s, node_limit)
 
 
-@dataclass(frozen=True)
-class DfsRun:
+class DfsRun(NamedTuple):
     """One seeded search at order q, v = q^2+q+1; pds is the witness when found."""
 
     q: int
@@ -359,8 +363,7 @@ def all_in_singer_orbit(v: int, pds_list, singer: Pds) -> bool:
     return all(affine_equivalent(v, b, singer.elems) is not None for b in pds_list)
 
 
-@dataclass(frozen=True)
-class IndependentReport:
+class IndependentReport(NamedTuple):
     """Per-seed aggregate over a modulus range, with the proof status made explicit."""
 
     seed: tuple[int, ...]

@@ -12,12 +12,11 @@ the subfield trace rows come from the Frobenius conjugates of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     """Decomposition q = p^m with p prime, m >= 1."""
 
     q: int
@@ -164,8 +163,7 @@ def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
 # Field contexts and element operations.
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class FieldCtx(NamedTuple):
     """Ambient description of GF(p^degree).
 
     modulus is monic of length degree+1; group_order_factorization lists the

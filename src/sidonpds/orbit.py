@@ -89,9 +89,9 @@ call always runs the test, so a non-Sidon input still gets SKIP_COLLISION.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import cache
 from .fields import is_prime_power
@@ -116,8 +116,7 @@ def rigor_class(q: int) -> str:
     return "ppc"
 
 
-@dataclass(frozen=True)
-class AffineWitness:
+class AffineWitness(NamedTuple):
     """A verified embedding: image = a*S + b mod v, a subset of the PDS used."""
 
     q: int
@@ -127,16 +126,14 @@ class AffineWitness:
     image: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """The kernel's verdict at one order: its kind, and the witness of an embedding; _scan_batch writes the reasons."""
 
     kind: str
     witness: AffineWitness | None = None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Result of scanning prime powers up to q_max for an affine embedding."""
 
     extends: bool
@@ -145,7 +142,7 @@ class CheckReport:
     skipped: tuple[tuple[int, str], ...]  # (q, reason) pairs not decided
 
 
-# every outcome without a witness: frozen, so one per kind is shared
+# every outcome without a witness: immutable, so one per kind is shared
 _NO_IMAGE = CheckOutcome(NO_IMAGE)
 _SKIP_SIZE = CheckOutcome(SKIP_SIZE)
 _SKIP_COLLISION = CheckOutcome(SKIP_COLLISION)

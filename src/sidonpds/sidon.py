@@ -10,7 +10,7 @@ deliberately simple: plain tuples in, booleans and tuples out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # Why a set cannot embed at an order, shared by the fast scan and the DFS.
@@ -18,8 +18,7 @@ SKIP_SIZE = "skip_size"
 SKIP_COLLISION = "skip_collision"
 
 
-@dataclass(frozen=True)
-class Pds:
+class Pds(NamedTuple):
     """A perfect difference set of size q+1 in Z_v, v = q^2+q+1, and how it was made.
 
     elems is the sorted residue tuple; method names the construction
@@ -95,9 +94,11 @@ def verify_pds(elems, v: int) -> bool:
         return False
     if k <= 1:
         return True  # v = 1: no nonzero residue to cover
-    neg = 0
+    bits = bytearray((v + 7) >> 3)
     for x in xs:
-        neg |= 1 << (-x % v)
+        r = -x % v
+        bits[r >> 3] |= 1 << (r & 7)
+    neg = int.from_bytes(bits, "little")
     acc = 0
     for x in xs:
         acc |= neg << x

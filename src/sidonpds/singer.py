@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, isqrt
 from operator import and_, mul
+from typing import NamedTuple
 
 from .fields import (
     _row_reduce,
@@ -58,8 +58,7 @@ class InvalidCoefficientsError(ValueError):
     """Raised when recurrence coefficients do not have a primitive characteristic cubic."""
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(NamedTuple):
     """Coefficients (a1, a2, a3) of x_k = a1 x_{k-1} + a2 x_{k-2} + a3 x_{k-3} over GF(q).
 
     Values are integer-encoded field elements (base-p digit encoding).  The

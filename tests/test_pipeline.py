@@ -10,15 +10,20 @@ from pathlib import Path
 import pytest
 
 from sidonpds import orbit
-from sidonpds.cache import enumeration_path, write_enumeration
-from sidonpds.dfs import enumerate_all_pds
+from sidonpds.cache import EnumerationRecord, enumeration_path, write_enumeration
+from sidonpds.dfs import DfsBudget, DfsRun, IndependentReport, enumerate_all_pds
+from sidonpds.fields import FieldCtx, PrimePower
 from sidonpds.pipeline import (
     BASE_CANDIDATES,
     CONTROL_CANDIDATES,
     DEFAULT_ENUMERATION_MODULI,
     REFERENCE_DENSITY,
     Candidate,
+    ClosureReport,
+    CompletenessReport,
+    DensityRow,
     MissingCacheError,
+    TripleVerdict,
     _exhaustive_extends,
     completeness_check,
     enumerate_sidon,
@@ -29,7 +34,8 @@ from sidonpds.pipeline import (
     superset_closure_check,
     triple_verify,
 )
-from sidonpds.sidon import dilate, normalize, reflect
+from sidonpds.sidon import Pds, dilate, normalize, reflect
+from sidonpds.singer import RecurrenceCoeffs
 
 A = (0, 1, 3, 11)
 B = (0, 1, 4, 11)
@@ -101,11 +107,13 @@ def _fresh_python(probe: str) -> str:
 def test_import_leaves_the_process_pool_unloaded():
     # nothing in the package starts worker processes, so nothing imports the
     # pool; nothing imports numpy either, which would add about 12 MB of
-    # resident memory at import; the CLI module imports every other module
+    # resident memory at import; records are NamedTuples, so nothing imports
+    # dataclasses or the inspect module it pulls in, about 20 ms of every
+    # start-up; the CLI module imports every other module
     probe = (
         "import sys, sidonpds.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'numpy', "
+        "'dataclasses', 'inspect') if m in sys.modules))"
     )
     assert _fresh_python(probe).strip() == "[]"
 
@@ -159,25 +167,73 @@ def test_every_public_name_is_used_outside_its_definition():
     assert not unused, sorted(unused)
 
 
-def test_every_dataclass_field_is_read_outside_its_class():
+def test_every_record_field_is_read_outside_its_class():
     # a field that only tests read is a result no caller reads.  A read is
     # matched by attribute name alone, so a field whose name is read on
     # another type passes unseen: a `witness` field on IndependentReport
-    # would pass on the reads of CheckReport.witness
+    # would pass on the reads of CheckReport.witness.  Records are the
+    # classes with a NamedTuple base; Candidate and DfsBudget validate in a
+    # subclass, so their fields sit in a private base
     files = sorted([*SRC.rglob("*.py"), *(SRC.parent / "perfbench").rglob("*.py")])
     loads = [(node.attr, path, node.lineno) for path in files for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
-    unread = [
-        f"{path.stem}.{cls.name}.{field.target.id}"
+    records = [
+        (path, cls)
         for path in sorted((SRC / "sidonpds").glob("*.py"))
         for cls in ast.parse(path.read_text()).body
-        if isinstance(cls, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        if isinstance(cls, ast.ClassDef) and any(ast.unparse(b) == "NamedTuple" for b in cls.bases)
+    ]
+    assert len(records) == 16, sorted(f"{path.stem}.{cls.name}" for path, cls in records)
+    unread = [
+        f"{path.stem}.{cls.name}.{field.target.id}"
+        for path, cls in records
         for field in cls.body
         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
         and not any(attr == field.target.id and not (lp == path and cls.lineno <= line <= cls.end_lineno)
                     for attr, lp, line in loads)
     ]
     assert not unread, unread
+
+
+_WITNESS = orbit.AffineWitness(2, 7, 1, 0, (0, 1, 3))
+_RUN = DfsRun(2, 7, "found", 0.5, 3, (0, 1, 3))
+_CHECK_REPORT = orbit.CheckReport(True, _WITNESS, ((2, 7),), ((3, "skip_size"),))
+_INDEPENDENT = IndependentReport((0, 1, 3), (_RUN,))
+_RECORDS = [
+    (PrimePower(9, 3, 2), ("q", "p", "m")),
+    (FieldCtx(2, 3, (1, 1, 0, 1), (7,)), ("p", "degree", "modulus", "group_order_factorization")),
+    (Pds(2, 7, (0, 1, 3), "trace_zero"), ("q", "v", "elems", "method")),
+    (RecurrenceCoeffs(2, 0, 1, 1), ("q", "a1", "a2", "a3")),
+    (EnumerationRecord((0, 1, 3), True, 2, 5), ("elems", "extends", "q_witness", "q_max")),
+    (_WITNESS, ("q", "v", "a", "b", "image")),
+    (orbit.CheckOutcome(orbit.EXTENDS, _WITNESS), ("kind", "witness")),
+    (_CHECK_REPORT, ("extends", "witness", "checked", "skipped")),
+    (DfsBudget(), ("time_limit_s", "node_limit")),
+    (_RUN, ("q", "v", "status", "elapsed", "nodes", "pds")),
+    (_INDEPENDENT, ("seed", "runs")),
+    (Candidate(A, "A"), ("elems", "label")),
+    (DensityRow(30, 3254, 3246, 8, 8), ("n_max", "total", "extending", "non_extending", "predicted")),
+    (CompletenessReport(False, ((0, 1, 3, 11),), ()), ("ok", "missing", "unexpected")),
+    (ClosureReport(A, True, (), ()), ("base", "precondition_ok", "supersets", "violations")),
+    (TripleVerdict(Candidate(A, "A"), _CHECK_REPORT, True, _INDEPENDENT, False, False),
+     ("candidate", "method1", "method2_agree", "method3", "non_extending", "is_control")),
+]
+
+
+@pytest.mark.parametrize("record, fields", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_are_immutable_and_print_their_fields(record, fields):
+    # the contract the results keep: fields in this order, no field can be
+    # set, and the repr names every field
+    values = [getattr(record, f) for f in fields]
+    assert type(record)(*values) == record
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+    assert repr(record) == f"{type(record).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+
+
+def test_dfs_budget_defaults():
+    assert DfsBudget() == DfsBudget(60.0, None)
 
 
 def test_family_members_and_membership():
