@@ -33,6 +33,19 @@ for chosen c1, c2).  Nothing else forbids z: d itself is uncovered, and z is
 allowed, so it is not in C.  A child is kept only when it has at least as
 many allowed residues as slots to fill.
 
+Most children that fail that count are ruled out before their state is
+built.  Adding x only adds to D and to C + C, so the child's allowed set
+lies inside allowed & ~((D + x) | ((C + C) - x)), read from the parent's
+masks with four shifts.  When that holds too few residues, `grow` stops
+there; otherwise it adds the fresh differences and the new midpoints and
+counts again.  The allowed set of a pair child (y, z) lies inside the
+same set taken for y and z together.  It also has at most |allowed_y| - 1
+residues, where allowed_y is the allowed set after adding y alone: z is
+in allowed_y, since the pair was not ruled out, and adding z takes z out.
+So y's child must keep one residue more than the pair child's slots.
+Each test only drops a child that the full count would drop, so the tree
+is unchanged.
+
 Find-first returns the least solution, in lex order of the sorted sets.
 That is the set the older search met first, as it added non-seed elements
 in increasing order: for two extensions of one seed the least element of
@@ -129,7 +142,9 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     Each node rules out a pair branch (y, y + d) by three bit tests on its
     own masks, with no grow (the three cases in the module docstring), so
     at two slots a pair goes straight to `leaf`.  A child is kept only when
-    its allowed residues can fill its slots.  Find-first computes the lex
+    its allowed residues can fill its slots; `grow` tests that on the
+    parent's masks first (the bound in the module docstring), and builds
+    the child only when it passes.  Find-first computes the lex
     bound only to order two or more children or to prune against a known
     solution; the tree, and so the node count, is the same as when every
     child is built and bounded.  While no solution is known, a ranked node
@@ -143,16 +158,23 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
 
-    def grow(x: int, used: int, allowed: int, members: int, negs: int, halves: int, sums: int):
-        """The masks after adding x, for x in allowed and 0 <= x < v."""
+    def grow(x: int, used: int, allowed: int, members: int, negs: int, halves: int, sums: int,
+             need: int = 0):
+        """The masks after adding x, for x in allowed and 0 <= x < v, or None
+        when fewer than need residues stay allowed."""
         y = v - x
-        used |= ((negs << x | negs >> y) | (members << y | members >> x)) & full  # x - C, C - x
+        allowed &= ~(used << x | used >> y | sums << y | sums >> x)  # D + x, (C + C) - x
+        if allowed.bit_count() < need:
+            return None
+        fresh = ((negs << x | negs >> y) | (members << y | members >> x)) & full  # x - C, C - x
         members |= 1 << x
         hx = x * half % v
         halves |= 1 << hx
-        # used + x, (C + C) - x and the new midpoints (C + x) / 2
-        bad = used << x | used >> y | sums << y | sums >> x | halves << hx | halves >> (v - hx)
-        return (used, allowed & ~bad, members, negs | 1 << (y % v), halves,
+        # the fresh differences + x and the new midpoints (C + x) / 2
+        allowed &= ~(fresh << x | fresh >> y | halves << hx | halves >> (v - hx))
+        if allowed.bit_count() < need:
+            return None
+        return (used | fresh, allowed, members, negs | 1 << (y % v), halves,
                 sums | ((members << x | members >> y) & full))
 
     # bit 0 of used: residues already taken read as "difference zero in use"
@@ -233,8 +255,8 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
             if slots == 1:
                 leaf(members | bit)
                 continue
-            st = grow(bit.bit_length() - 1, used, allowed, members, negs, halves, sums)
-            if st[1].bit_count() >= slots - 1:
+            st = grow(bit.bit_length() - 1, used, allowed, members, negs, halves, sums, slots - 1)
+            if st is not None:
                 children.append((slots - 1, st))
         if slots >= 2:
             # two new elements y and z = y + d, both allowed; adding y forbids
@@ -252,8 +274,15 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
                 if slots == 2:
                     leaf(members | bit | 1 << z)
                     continue
-                st = grow(z, *grow(y, used, allowed, members, negs, halves, sums))
-                if st[1].bit_count() >= slots - 2:
+                # the parent's bound for y and z together; then y's child
+                # must keep z and slots - 2 more residues
+                u, w = v - y, v - z
+                if (allowed & ~(used << y | used >> u | sums << u | sums >> y
+                                | used << z | used >> w | sums << w | sums >> z)).bit_count() < slots - 2:
+                    continue
+                st = grow(y, used, allowed, members, negs, halves, sums, slots - 1)
+                st = st and grow(z, *st, slots - 2)
+                if st:
                     children.append((slots - 2, st))
         if free:
             for k, st in children:
@@ -348,11 +377,29 @@ def enumerate_all_pds(v: int) -> tuple[list[tuple[int, ...]], int]:
     exactly one member containing {0, 1}; the list is those members, sorted.
     A PDS is fixed by no nonzero translate, so each class has exactly v
     members and the total over Z_v is v times the length of the list.
+
+    Only one of each mirror pair of subtrees is searched.  The mirror
+    x -> 1 - x fixes {0, 1} and maps a PDS to a PDS, so it permutes the
+    list.  In a set through {0, 1} difference 2 is covered by exactly one
+    pair: {1, 3}, {-2, 0} (the pairs {0, 2} and {-1, 1} would repeat
+    difference 1), or {y, y + 2} with 2 <= y <= v - 3.  Those are the
+    first branches of the anchored search, and the mirror swaps {1, 3} with
+    {-2, 0} and {y, y + 2} with {-1 - y, 1 - y}.  No pair is its own mirror:
+    at y = (v - 1)/2 the differences y - 0 and 1 - (y + 2) coincide.  So the
+    sets through {0, 1, 3} and through {0, 1, y, y + 2} with y < (v - 1)/2,
+    with their mirrors, are the whole list, each set once.
     """
     q = (isqrt(4 * v - 3) - 1) // 2
     if q < 2 or q * q + q + 1 != v:
         raise ValueError(f"{v} is not of the form q^2+q+1 with q >= 2")
-    anchored, _status, _nodes = _search(v, q + 1, (0, 1), find_all=True, budget=None)
+    seeds = [(0, 1, 3)] + [(0, 1, y, y + 2) for y in range(2, (v - 1) // 2)
+                           if sidon_distinct_mod((0, 1, y, y + 2), v)]
+    found = set()
+    for seed in seeds:
+        for sol in _search(v, q + 1, seed, find_all=True, budget=None)[0]:
+            found.add(sol)
+            found.add(tuple(sorted((1 - x) % v for x in sol)))
+    anchored = sorted(found)
     return anchored, v * len(anchored)
 
 

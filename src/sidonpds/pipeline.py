@@ -80,7 +80,7 @@ REFERENCE_SUPERSET_COUNTS = {
 # First extending order for the positive control.
 REFERENCE_CONTROL_WITNESS = {(0, 1, 3, 19): 37}
 
-DEFAULT_ENUMERATION_MODULI = (13, 21, 31, 73)
+DEFAULT_ENUMERATION_MODULI = (13, 21, 31, 57, 73, 91)
 
 
 class MissingCacheError(RuntimeError):

@@ -26,7 +26,9 @@ A = (0, 1, 3, 11)
 B = (0, 1, 4, 11)
 CANDIDATES = (A, B, reflect(A), reflect(B))
 
-EXPECTED_PDS_TOTALS = {13: 52, 21: 42, 31: 310, 73: 584}
+# at a prime power q = p^m the total is v * phi(v) / (3m), the size of the
+# Singer set's affine orbit: 13*12/3, 21*12/6, 31*30/3, 57*36/3, 73*72/9, 91*72/6
+EXPECTED_PDS_TOTALS = {13: 52, 21: 42, 31: 310, 57: 684, 73: 584, 91: 1092}
 EXPECTED_DENSITY = {
     20: (802, 798, 4),
     30: (3254, 3246, 8),
@@ -41,11 +43,11 @@ def _ok(msg):
 
 def test_criterion_01_hall_uniqueness_recheck():
     for v, expected_total in EXPECTED_PDS_TOTALS.items():
-        q = {13: 3, 21: 4, 31: 5, 73: 8}[v]
+        q = {13: 3, 21: 4, 31: 5, 57: 7, 73: 8, 91: 9}[v]
         all_pds, total = dfs.enumerate_all_pds(v)
         assert total == expected_total, f"v={v}: {total} != {expected_total}"
         assert dfs.all_in_singer_orbit(v, all_pds, singer_pds_trace(q)), f"v={v} orbit"
-    _ok("criterion 1: PDS totals 52/42/310/584 at v=13/21/31/73, all in the Singer orbit")
+    _ok("criterion 1: PDS totals 52/42/310/684/584/1092 at v=13/21/31/57/73/91, all in the Singer orbit")
 
 
 @pytest.mark.parametrize("n_max", [20, 30, 40, 50])

@@ -194,12 +194,13 @@ def test_check_verbose_lists_each_skip(capsys, data_root):
 
 
 def test_triple_verify_requires_the_cache_at_its_enumeration_orders(tmp_path, capsys):
-    # method 2 reads the cached PDS at q = 3, 4, 5 and 8 (v = 13, 21, 31, 73)
+    # method 2 reads the cached PDS at q = 3, 4, 5, 7, 8 and 9 (v = 13, 21,
+    # 31, 57, 73, 91)
     build_pds_cache(5, tmp_path)
     code, _, err = run(capsys, "triple-verify", "--q-max-fast", "5", "--q-hi", "5",
                        "--data-root", str(tmp_path))
     assert code == 1
-    assert "build-cache 8" in err
+    assert "build-cache 9" in err
 
 
 def test_enumerate_writes_jsonl_and_is_deterministic(capsys, data_root, tmp_path, monkeypatch):
@@ -420,7 +421,9 @@ def test_triple_verify_verbose_reports_each_enumeration_and_candidate(capsys, da
         "enumerated v=13: 52 perfect difference sets",
         "enumerated v=21: 42 perfect difference sets",
         "enumerated v=31: 310 perfect difference sets",
+        "enumerated v=57: 684 perfect difference sets",
         "enumerated v=73: 584 perfect difference sets",
+        "enumerated v=91: 1092 perfect difference sets",
         "A: non_extending=True",
         "B: non_extending=True",
         "refl(A): non_extending=True",

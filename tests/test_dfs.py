@@ -346,8 +346,11 @@ def test_rejects_bad_parameters():
 @pytest.mark.parametrize(
     "v,n,seed,find_all,status,nodes",
     [(133, 12, A, False, EXHAUSTED, 1721), (133, 12, (0, 1), False, FOUND, 17771),
-     (73, 9, (0, 1), True, FOUND, 2833)],
-    ids=["A-133", "01-133", "01-73-all"],
+     (73, 9, (0, 1), True, FOUND, 2833),
+     (57, 8, (0, 1), True, FOUND, 489), (91, 10, (0, 1), True, FOUND, 13459),
+     (133, 12, B, False, EXHAUSTED, 2007), (133, 12, (0, 2, 8, 22), False, EXHAUSTED, 2450),
+     (157, 13, A, False, EXHAUSTED, 7161)],
+    ids=["A-133", "01-133", "01-73-all", "01-57-all", "01-91-all", "B-133", "02822-133", "A-157"],
 )
 def test_search_tree_size_is_pinned(v, n, seed, find_all, status, nodes):
     assert _search(v, n, seed, find_all=find_all, budget=None)[1:] == (status, nodes)
@@ -451,6 +454,29 @@ def test_enumeration_totals(v, q, expected_total):
     assert all(len(s) == q + 1 and {0, 1} <= set(s) and verify_pds(s, v) for s in sols)
     # each translation class has v members, one of them through {0, 1}
     assert len(sols) * v == total
+
+
+# enumerate_all_pds searches the sets through (0, 1, 3) and through
+# (0, 1, y, y + 2) for y < (v - 1)/2, and adds the mirror 1 - x of each: the
+# list and the total must be those of the plain anchored search.  At v = 7
+# the seed (0, 1, 3) is already a whole PDS and no pair seed is Sidon mod 7;
+# v = 43 and v = 111 have no PDS.
+@pytest.mark.parametrize("q", range(2, 11))
+def test_mirrored_enumeration_matches_the_anchored_search(q):
+    v = q * q + q + 1
+    sols = _search(v, q + 1, (0, 1), find_all=True, budget=None)[0]
+    assert enumerate_all_pds(v) == (sols, v * len(sols))
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_no_pair_seed_of_the_enumeration_is_its_own_mirror(q):
+    # y = (v - 1)/2 is the one pair {y, y + 2} that 1 - x maps to itself;
+    # its differences y - 0 and 1 - (y + 2) coincide, so the gate rejects it
+    v = q * q + q + 1
+    y = (v - 1) // 2
+    assert {(1 - x) % v for x in (y, y + 2)} == {y, y + 2}
+    with pytest.raises(ValueError, match="collisions mod"):
+        _search(v, q + 1, (0, 1, y, y + 2), find_all=True, budget=None)
 
 
 def test_enumeration_rejects_a_malformed_modulus():
