@@ -264,7 +264,7 @@ def _cmd_closure(args) -> int:
 
 _GLOBAL_DEFAULTS = {
     "data_root": None,
-    "budget_seconds": 60.0,
+    "budget_seconds": dfs.DfsBudget().time_limit_s,
     "check": False,
     "verbose": False,
 }
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--data-root", default=argparse.SUPPRESS,
                         help="cache directory (default: $SIDONPDS_DATA_ROOT or ./data)")
     shared.add_argument("--budget-seconds", type=float, default=argparse.SUPPRESS,
-                        help="DFS time budget per (set, modulus); default 60")
+                        help=f"DFS time budget per (set, modulus); default {_GLOBAL_DEFAULTS['budget_seconds']:g}")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; has no effect")
     shared.add_argument("--check", action="store_true", default=argparse.SUPPRESS,

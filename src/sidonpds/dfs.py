@@ -59,16 +59,18 @@ prunes nothing, so a subtree that holds no solution has the same nodes in
 any order: each node's children depend only on its state.  So a ranked
 node first searches each child's subtree with no bound, the way find-all
 does.  When that pass ends, the subtree holds no solution and its count
-stands.  When it meets a leaf, or the node limit, its count is dropped and
-the child is searched a second time, ranked, with the same rule at each of
-its own children.  The tree and the node count are those of the ranked
+stands.  When it meets a leaf, its count is dropped and the child is
+searched a second time, ranked, with the same rule at each of its own
+children.  The tree and the node count are those of the ranked
 search alone, and a proof that exhausts computes the bound only down to
 the first node with two children.  The test suite keeps the older search,
 and the one before it that rechecks each candidate pair by pair, as oracles
 for this one.
 
-Timeouts are tracked per search and reported as their own outcome: a timed
-out search proves nothing and is never folded into "exhausted".
+A search stops one way: at its deadline, read every 256 nodes.  A deadline
+stop returns the least extension met so far, by a pass or by the ranked
+search, and otherwise TIMEOUT: a timed out search proves nothing and is
+never folded into "exhausted".
 """
 
 from __future__ import annotations
@@ -90,19 +92,15 @@ _TIME_CHECK_QUANTUM = 256
 # a NamedTuple body may not define __new__, so the validating class extends it
 class _DfsBudgetFields(NamedTuple):
     time_limit_s: float
-    node_limit: int | None
 
 
 class DfsBudget(_DfsBudgetFields):
     __slots__ = ()
 
-    def __new__(cls, time_limit_s: float = 60.0, node_limit: int | None = None):
+    def __new__(cls, time_limit_s: float = 60.0):
         if not time_limit_s > 0:  # NaN too: it would never pass the deadline
             raise ValueError("time_limit_s must be positive")
-        if node_limit is not None and (isinstance(node_limit, bool) or not isinstance(node_limit, int)
-                                       or node_limit < 1):
-            raise ValueError(f"node_limit must be None or an int >= 1, not {node_limit!r}")
-        return super().__new__(cls, time_limit_s, node_limit)
+        return super().__new__(cls, time_limit_s)
 
 
 class DfsRun(NamedTuple):
@@ -117,11 +115,8 @@ class DfsRun(NamedTuple):
 
 
 class _Stop(Exception):
-    """The budget ran out: the deadline passed, or the node limit (`_NodeLimit`)."""
-
-
-class _NodeLimit(_Stop):
-    pass
+    """The deadline passed.  _search then returns the least extension met so
+    far, by a pass or by the ranked search, and otherwise TIMEOUT."""
 
 
 class _Met(Exception):
@@ -136,7 +131,7 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     is again.  So a seed with a repeated residue or with colliding
     differences mod v is a ValueError; for an odd v that is exactly
     not sidon_distinct_mod(seed, v).  The solutions come back sorted.
-    Find-first runs the tree to the end, or to the budget, and keeps only
+    Find-first runs the tree to the end, or to the deadline, and keeps only
     the least solution.
 
     Each node rules out a pair branch (y, y + d) by three bit tests on its
@@ -151,9 +146,9 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     enters each child through `visit`: a bound-free pass over the subtree,
     which keeps its count when it ends, since the ranked search would visit
     the same nodes in another order, and is dropped for a second, ranked
-    search of the child when it meets a leaf or the node limit.  If the
-    deadline stops the search before the ranked search meets a solution, the
-    least solution a dropped pass met is returned.
+    search of the child when it meets a leaf.  A deadline stop returns the
+    least solution met so far, by a pass or by the ranked search, and
+    otherwise TIMEOUT.
     """
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
@@ -191,7 +186,6 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
         return [sol], FOUND, 0
     t0 = time.monotonic()
     deadline = None if budget is None else t0 + budget.time_limit_s
-    node_limit = None if budget is None else budget.node_limit
     nodes = 0
     solutions: list[tuple[int, ...]] = []
     least = None  # find-first: the rank of the least solution so far
@@ -239,11 +233,8 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     def recurse(slots: int, used, allowed, members, negs, halves, sums):
         nonlocal nodes
         nodes += 1
-        if nodes % _TIME_CHECK_QUANTUM == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop
-            if node_limit is not None and nodes > node_limit:
-                raise _NodeLimit
+        if nodes % _TIME_CHECK_QUANTUM == 0 and deadline is not None and time.monotonic() > deadline:
+            raise _Stop
         d = (~used & (used + 1)).bit_length() - 1  # the smallest uncovered difference
         e = v - d
         children = []  # only children with at least as many allowed residues as slots
@@ -313,7 +304,7 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
         try:
             recurse(slots, *st)
             return
-        except (_Met, _NodeLimit):
+        except _Met:
             nodes = entry
         finally:
             free = False
@@ -322,15 +313,13 @@ def _search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
     status = EXHAUSTED
     try:
         recurse(n - len(base), *state)
-    except _NodeLimit:
-        status = TIMEOUT
     except _Stop:
         status = TIMEOUT
         if met is not None:  # verified by leaf, and it holds the seed
             solutions[:] = [min(solutions + [met])]
     solutions.sort()
     # an enumeration that ran to completion, or find-first with the least
-    # solution met, whether or not the budget ran out
+    # solution met, whether or not the deadline passed
     if solutions and (status == EXHAUSTED or not find_all):
         status = FOUND
     return solutions, status, nodes
@@ -345,10 +334,10 @@ def find_pds_extension(s, v: int, budget: DfsBudget | None = None) -> DfsRun:
     collides mod v, so this makes no collision test of its own.
     Returns found (with a verified witness), exhausted (a completed search:
     no extension exists at this modulus), or timeout (no conclusion).  The
-    witness is the least extension in lex order.  When the budget stops the
-    search after it has met an extension, the run is found with the least
-    extension met so far, which is verified and holds s mod v like any
-    witness but need not be the least one.
+    witness is the least extension in lex order.  A deadline stop returns
+    the least extension met so far, by a pass or by the ranked search, and
+    otherwise timeout; that witness is verified and holds s mod v like any
+    other, but need not be the least one.
     """
     root = isqrt(max(4 * v - 3, 0))
     n = (root + 1) // 2

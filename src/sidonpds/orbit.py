@@ -429,10 +429,13 @@ def fast_check(s, q_max: int, source) -> CheckReport:
     """Scan prime powers q up to q_max, smallest first, stopping at the first embedding.
 
     source.get(q) gives the cached PDS at q or None: a PdsSource, or a
-    plain {q: Pds} dict.  Skipped moduli (collisions, missing cache
-    entries, non prime powers, |S| > q+1) are recorded, never silently
-    dropped: a non-extension claim is only as strong as the list of moduli
-    actually ruled out.  This is fast_check_many on a batch of one.
+    plain {q: Pds} dict.  The report covers each q in [max(2, |S| - 1),
+    q_max] once, up to the witness order: every order before it is either
+    checked (ruled out) or skipped with its reason (a collision mod v, no
+    cached PDS, not a prime power), never silently dropped, since a
+    non-extension claim is only as strong as the list of moduli actually
+    ruled out.  Orders with q + 1 < |S| hold no image of S and are not
+    listed.  This is fast_check_many on a batch of one.
     """
     return next(fast_check_many([s], q_max, source))[1]
 

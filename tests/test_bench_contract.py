@@ -100,11 +100,12 @@ def test_tracer_target_resolves(module, name):
     assert callable(fn), f"sidonpds.{module}.{name}"
 
 
-def test_dfs_results_have_the_shape_the_tracer_hooks_read():
+def test_dfs_results_have_the_shape_the_tracer_hooks_read(counting_clock):
+    # the clock counts reads, so the last search stops at its first deadline check
     hooks = {(m, f): hook for m, f, hook in _tracing().TARGETS}
     counters = defaultdict(float)
     for seed, v, budget in [((0, 1, 3), 13, None), ((0, 1, 4, 11), 57, None),
-                            ((0, 1, 3, 11), 133, DfsBudget(time_limit_s=60, node_limit=1))]:
+                            ((0, 1, 3, 11), 133, DfsBudget(time_limit_s=0.5))]:
         run = find_pds_extension(seed, v, budget)
         assert isinstance(run, DfsRun)
         assert type(run.nodes) is int and run.status in (FOUND, EXHAUSTED, TIMEOUT)

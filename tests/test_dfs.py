@@ -1,12 +1,10 @@
 import random
-import time
+from functools import partial
 from itertools import product
 
 import pytest
 
-from sidonpds import dfs
 from sidonpds.dfs import (
-    _TIME_CHECK_QUANTUM,
     EXHAUSTED,
     FOUND,
     SKIP_COLLISION,
@@ -14,7 +12,6 @@ from sidonpds.dfs import (
     TIMEOUT,
     DfsBudget,
     _search,
-    _Stop,
     all_in_singer_orbit,
     enumerate_all_pds,
     find_pds_extension,
@@ -31,7 +28,7 @@ B = (0, 1, 4, 11)
 # The search as it was before the rotated-mask kernel: every candidate is
 # rechecked against each chosen element, and each child's forbidden residues
 # are rebuilt pair by pair.  Slow, and kept as the oracle for `_search`.
-def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
+def _pairwise_search(v: int, n: int, seed, *, find_all: bool):
     """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
     full = (1 << v) - 1
     base = sorted(x % v for x in seed)
@@ -63,19 +60,11 @@ def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget 
         if not verify_pds(sol, v):
             raise AssertionError("full-size seed with distinct differences must be a PDS")
         return [sol], FOUND, 0
-    t0 = time.monotonic()
-    deadline = None if budget is None else t0 + budget.time_limit_s
-    node_limit = None if budget is None else budget.node_limit
     state = {"nodes": 0}
     solutions: list[tuple[int, ...]] = []
 
     def recurse(chosen: list[int], used: int, allowed: int, last: int):
         state["nodes"] += 1
-        if state["nodes"] % _TIME_CHECK_QUANTUM == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop
-            if node_limit is not None and state["nodes"] > node_limit:
-                raise _Stop
         slots = n - len(chosen)
         cand = allowed >> (last + 1) << (last + 1)
         if cand.bit_count() < slots:
@@ -112,13 +101,7 @@ def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget 
                 return True
         return False
 
-    status = EXHAUSTED
-    try:
-        found = recurse(base, used, allowed, -1)
-        if found:
-            status = FOUND
-    except _Stop:
-        status = TIMEOUT
+    status = FOUND if recurse(base, used, allowed, -1) else EXHAUSTED
     if find_all and status == EXHAUSTED and solutions:
         status = FOUND  # enumeration that ran to completion and found sets
     return solutions, status, state["nodes"]
@@ -127,7 +110,7 @@ def _pairwise_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget 
 # The search before exact-cover branching: rotated masks, every surviving
 # element tried in increasing order, and the first solution met returned.
 # Kept as the oracle for `_search` at sizes the pairwise oracle cannot reach.
-def _increasing_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudget | None):
+def _increasing_search(v: int, n: int, seed, *, find_all: bool):
     """Core DFS; returns (solutions, status, nodes). Solutions contain the seed."""
     full = (1 << v) - 1
     half = (v + 1) // 2  # the inverse of 2 mod v; v = q^2+q+1 is odd
@@ -156,20 +139,12 @@ def _increasing_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudge
         if not verify_pds(sol, v):
             raise AssertionError("full-size seed with distinct differences must be a PDS")
         return [sol], FOUND, 0
-    t0 = time.monotonic()
-    deadline = None if budget is None else t0 + budget.time_limit_s
-    node_limit = None if budget is None else budget.node_limit
     nodes = 0
     solutions: list[tuple[int, ...]] = []
 
     def recurse(slots: int, last: int, used, allowed, members, negs, halves, sums):
         nonlocal nodes
         nodes += 1
-        if nodes % _TIME_CHECK_QUANTUM == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop
-            if node_limit is not None and nodes > node_limit:
-                raise _Stop
         cand = allowed >> (last + 1) << (last + 1)
         if cand.bit_count() < slots:
             return False
@@ -189,13 +164,7 @@ def _increasing_search(v: int, n: int, seed, *, find_all: bool, budget: DfsBudge
                 return True
         return False
 
-    status = EXHAUSTED
-    try:
-        found = recurse(n - len(base), -1, *state)
-        if found:
-            status = FOUND
-    except _Stop:
-        status = TIMEOUT
+    status = FOUND if recurse(n - len(base), -1, *state) else EXHAUSTED
     if find_all and status == EXHAUSTED and solutions:
         status = FOUND  # enumeration that ran to completion and found sets
     return solutions, status, nodes
@@ -214,7 +183,7 @@ def _random_sidon_pool(count=40, seed=8):
 @pytest.mark.parametrize("v,n", [(7, 3), (13, 4), (21, 5), (31, 6)])
 def test_search_matches_the_pairwise_oracle_find_all(v, n):
     sols, status, nodes = _search(v, n, (0,), find_all=True, budget=None)
-    want, want_status, want_nodes = _pairwise_search(v, n, (0,), find_all=True, budget=None)
+    want, want_status, want_nodes = _pairwise_search(v, n, (0,), find_all=True)
     assert (sols, status) == (want, want_status)
     assert nodes <= want_nodes
 
@@ -227,7 +196,7 @@ def test_search_matches_the_pairwise_oracle_seeded():
             if len(s) > n or not sidon_distinct_mod(s, v):
                 continue
             got = _search(v, n, s, find_all=False, budget=None)
-            want = _pairwise_search(v, n, s, find_all=False, budget=None)
+            want = _pairwise_search(v, n, s, find_all=False)
             assert got[:2] == want[:2], (s, v)
             assert got[2] <= want[2], (s, v)
             statuses.append(got[1])
@@ -240,7 +209,7 @@ def test_search_matches_the_pairwise_oracle_seeded():
 @pytest.mark.parametrize("v,n", [(43, 7), (57, 8), (73, 9)])
 def test_search_matches_the_increasing_oracle_find_all(v, n):
     sols, status, nodes = _search(v, n, (0, 1), find_all=True, budget=None)
-    want, want_status, want_nodes = _increasing_search(v, n, (0, 1), find_all=True, budget=None)
+    want, want_status, want_nodes = _increasing_search(v, n, (0, 1), find_all=True)
     assert (sols, status) == (want, want_status)
     assert nodes <= want_nodes
 
@@ -254,7 +223,7 @@ def test_search_matches_the_increasing_oracle_seeded(seed):
         if len(seed) > n or not sidon_distinct_mod(seed, v):
             continue
         got = _search(v, n, seed, find_all=False, budget=None)
-        want = _increasing_search(v, n, seed, find_all=False, budget=None)
+        want = _increasing_search(v, n, seed, find_all=False)
         assert got[:2] == want[:2], v
         assert got[2] <= want[2], v
 
@@ -264,9 +233,9 @@ def test_search_matches_the_increasing_oracle_seeded(seed):
 # repeats the residue 0, which the seed gate keeps and never allows twice.
 @pytest.mark.parametrize("seed", [A, (0, 2, 7, 9), (0, 1, 2), (0, 5, 10), (0, 13)])
 def test_search_rejects_a_seed_with_colliding_differences_mod_v(seed):
-    for search in (_search, _increasing_search, _pairwise_search):
+    for search in (partial(_search, budget=None), _increasing_search, _pairwise_search):
         with pytest.raises(ValueError, match="collisions mod"):
-            search(13, 4, seed, find_all=False, budget=None)
+            search(13, 4, seed, find_all=False)
 
 
 def _seed_gate_cases():
@@ -279,9 +248,10 @@ def _seed_gate_cases():
     return cases
 
 
-def test_find_extension_rejects_exactly_the_oversized_and_colliding_seeds():
-    # _search's masks are the only collision test of find_pds_extension
-    budget = DfsBudget(time_limit_s=5, node_limit=1)
+def test_find_extension_rejects_exactly_the_oversized_and_colliding_seeds(counting_clock):
+    # _search's masks are the only collision test of find_pds_extension; a
+    # search that passes them stops at its first deadline check
+    budget = DfsBudget(time_limit_s=0.5)
     cases = _seed_gate_cases()
     assert len(cases) == 8482
     rejected = 0
@@ -309,7 +279,7 @@ def test_anchored_enumeration_rebuilds_the_list_through_zero(v, n):
     # distinct and make up the whole list through 0
     rebuilt = sorted(tuple(sorted((x - b) % v for x in s)) for s in sols for b in s)
     assert len(set(rebuilt)) == len(rebuilt)
-    through0, _, _ = _pairwise_search(v, n, (0,), find_all=True, budget=None)
+    through0, _, _ = _pairwise_search(v, n, (0,), find_all=True)
     assert rebuilt == sorted(through0)
     assert total == v * len(sols)
 
@@ -356,12 +326,12 @@ def test_search_tree_size_is_pinned(v, n, seed, find_all, status, nodes):
     assert _search(v, n, seed, find_all=find_all, budget=None)[1:] == (status, nodes)
 
 
-def test_size_follows_from_the_modulus():
+def test_size_follows_from_the_modulus(counting_clock):
     # v = n(n-1) + 1 fixes the size n; every other modulus is refused
     sizes = {n * (n - 1) + 1: n for n in range(2, 16)}
     for v in range(-2, 212):
         if v in sizes:
-            out = find_pds_extension((0,), v, DfsBudget(time_limit_s=1, node_limit=1))
+            out = find_pds_extension((0,), v, DfsBudget(time_limit_s=0.5))
             assert out.q == sizes[v] - 1 and out.status in (FOUND, TIMEOUT), v
         else:
             with pytest.raises(ValueError):
@@ -374,20 +344,22 @@ def test_timeout_is_reported_not_exhausted():
     assert out.pds is None
 
 
-def test_node_limit_counts_as_timeout():
-    # the exhaustive search of A at v = 133 takes 1,721 nodes
-    out = find_pds_extension(A, 133, DfsBudget(time_limit_s=60, node_limit=1000))
-    assert out.status == TIMEOUT
-    assert out.pds is None
+def test_deadline_stop_before_any_extension_is_a_timeout(counting_clock):
+    # the exhaustive search of A at v = 133 takes 1,721 nodes; the deadline
+    # stops it at its k-th check, node 256 k
+    for checks in (1, 2, 4):
+        out = find_pds_extension(A, 133, DfsBudget(time_limit_s=checks - 0.5))
+        assert (out.status, out.nodes, out.pds) == (TIMEOUT, 256 * checks, None)
 
 
-def test_budget_that_stops_after_an_extension_reports_it():
-    # (0, 1) at v = 133 meets its first extension between nodes 4,096 and
-    # 8,192, and exhausts the tree only after 17,771 nodes
-    out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=60, node_limit=8000))
-    assert out.status == FOUND
-    assert out.nodes < 8000 + _TIME_CHECK_QUANTUM
-    assert {0, 1} <= set(out.pds)
+def test_budget_that_stops_after_an_extension_reports_it(counting_clock):
+    # (0, 1) at v = 133: a bound-free pass meets (0, 1, 3, 17, 21, ...) at
+    # node 6,400 and is dropped; the deadline fires at node 1,792 of the
+    # ranked search, long before the tree ends at 17,771 nodes with the least
+    # extension (0, 1, 3, 12, 20, ...), so the least one met is reported
+    out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=31.5))
+    assert (out.status, out.nodes) == (FOUND, 1792)
+    assert out.pds == (0, 1, 3, 17, 21, 58, 65, 73, 100, 105, 111, 124)
     assert verify_pds(out.pds, 133)
 
 
@@ -401,38 +373,35 @@ def test_dilation_family_proofs_to_q11_take_45334_nodes():
     assert sum(r.nodes for r in runs) == 45334
 
 
-# Found and node-limited runs drop each pass that meets a leaf or the node
-# limit, and keep the count, the status and the witness of the ranked search.
-# At v = 133 the limit of 8,000 stops the search at its first witness; a
-# dropped pass met a lesser one, (0, 1, 3, 17, 21, ...), which a node limit
-# never reports.
+# Found and deadline-stopped runs drop each pass that meets a leaf, and keep
+# the count and the status of the ranked search.  (0, 1) at v = 133 has met
+# no extension at its 4th check, node 1,024 of its first pass; at its 78th,
+# node 13,312, it has met the least extension, 4,459 nodes before the tree
+# ends.
 @pytest.mark.parametrize(
-    "seed,v,node_limit,status,nodes,pds",
-    [((0, 1, 3), 91, None, FOUND, 926, (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)),
-     ((0, 1), 133, 1000, TIMEOUT, 1024, None),
-     ((0, 1), 133, 8000, FOUND, 8192, (0, 1, 3, 17, 29, 61, 80, 86, 91, 95, 113, 126))],
-    ids=["013-91", "01-133-limit1000", "01-133-limit8000"],
+    "seed,v,time_limit_s,status,nodes,pds",
+    [((0, 1, 3), 91, 60, FOUND, 926, (0, 1, 3, 9, 27, 49, 56, 61, 77, 81)),
+     ((0, 1), 133, 3.5, TIMEOUT, 1024, None),
+     ((0, 1), 133, 77.5, FOUND, 13312, (0, 1, 3, 12, 20, 34, 38, 81, 88, 94, 104, 109))],
+    ids=["013-91", "01-133-check4", "01-133-check78"],
 )
-def test_found_and_node_limited_runs_are_pinned(seed, v, node_limit, status, nodes, pds):
-    out = find_pds_extension(seed, v, DfsBudget(time_limit_s=60, node_limit=node_limit))
+def test_found_and_deadline_stopped_runs_are_pinned(counting_clock, seed, v, time_limit_s, status, nodes, pds):
+    out = find_pds_extension(seed, v, DfsBudget(time_limit_s))
     assert (out.status, out.nodes, out.pds) == (status, nodes, pds)
 
 
-def test_deadline_after_a_dropped_pass_met_an_extension_reports_it(monkeypatch):
+def test_deadline_after_a_dropped_pass_met_an_extension_reports_it(counting_clock):
     # (0, 1) at v = 133: the first bound-free pass meets an extension after
-    # 6,400 nodes and is dropped, and the ranked search starts its count over.
-    # The clock reads 0 at the two starts and the checks at nodes 256 to
-    # 6,400, then jumps past the deadline, so the deadline fires at node 256
-    # of the ranked search, which has met no extension there (the node limit
-    # below stops at the same node with none).
-    readings = iter([0.0] * 27)
-    with monkeypatch.context() as m:
-        m.setattr(dfs.time, "monotonic", lambda: next(readings, 1e9))
-        out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=60))
+    # 6,400 nodes, its 25th check, and is dropped, and the ranked search
+    # starts its count over.  The deadline fires at the 26th check, node 256
+    # of the ranked search, and reports what the pass met.  A search stopped
+    # at its first check, in its first pass, has met none.
+    out = find_pds_extension((0, 1), 133, DfsBudget(time_limit_s=25.5))
     assert (out.status, out.nodes) == (FOUND, 256)
+    assert out.pds == (0, 1, 3, 17, 21, 58, 65, 73, 100, 105, 111, 124)
     assert {0, 1} <= set(out.pds) and verify_pds(out.pds, 133)
-    ranked = _search(133, 12, (0, 1), find_all=False, budget=DfsBudget(time_limit_s=60, node_limit=255))
-    assert ranked == ([], TIMEOUT, 256)
+    first = _search(133, 12, (0, 1), find_all=False, budget=DfsBudget(time_limit_s=0.5))
+    assert first == ([], TIMEOUT, 256)
 
 
 def test_budget_validation():
@@ -535,14 +504,6 @@ def test_independent_check_exhausts_order(q):
 def test_independent_check_covers_non_prime_power_orders():
     rep = independent_check([B], 5, 7, DfsBudget(30))[0]
     assert [r.v for r in rep.runs] == [31, 43, 57]  # q = 6 is not a prime power, still searched
-
-
-@pytest.mark.parametrize("limit", [float("nan"), True, 2.5, 0, -5])
-def test_budget_rejects_a_node_limit_that_is_not_a_positive_int(limit):
-    # NaN fails every comparison and would mean no limit; True, 2.5, 0 and -5
-    # would end the search at an arbitrary node
-    with pytest.raises(ValueError, match="node_limit"):
-        DfsBudget(time_limit_s=30, node_limit=limit)
 
 
 def test_budget_rejects_nan_and_keeps_inf():

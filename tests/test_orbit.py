@@ -93,6 +93,17 @@ def test_candidates_skip_structure_to_64(source):
         assert min(checked_qs) == 5
 
 
+@pytest.mark.parametrize("s", [(0, 1, 3, 7, 12, 20), (1, 2, 4, 8, 13), A, (0, 1, 3, 19), (0, 1), (5,)])
+def test_report_lists_each_order_from_size_minus_one_to_the_witness_once(source, s):
+    # the nonext benchmark check counts on this: an order with q + 1 < |S| is
+    # not listed, and each order from max(2, |S| - 1) up to the witness, or
+    # to q_max, is checked or skipped exactly once
+    report = fast_check(s, 64, source)
+    listed = [q for q, _ in report.checked] + [q for q, _ in report.skipped]
+    end = report.witness.q if report.extends else 65
+    assert sorted(listed) == list(range(max(2, len(s) - 1), end))
+
+
 def test_fast_check_rejects_non_sidon_and_bad_bound(source):
     with pytest.raises(ValueError):
         fast_check((0, 1, 2, 4), 64, source)
