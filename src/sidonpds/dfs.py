@@ -378,7 +378,7 @@ def enumerate_all_pds(v: int) -> tuple[list[tuple[int, ...]], int]:
     sets through {0, 1, 3} and through {0, 1, y, y + 2} with y < (v - 1)/2,
     with their mirrors, are the whole list, each set once.
     """
-    q = (isqrt(4 * v - 3) - 1) // 2
+    q = (isqrt(max(4 * v - 3, 0)) - 1) // 2
     if q < 2 or q * q + q + 1 != v:
         raise ValueError(f"{v} is not of the form q^2+q+1 with q >= 2")
     seeds = [(0, 1, 3)] + [(0, 1, y, y + 2) for y in range(2, (v - 1) // 2)

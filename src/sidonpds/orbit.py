@@ -29,17 +29,17 @@ members would embed too; the reduced scan reaches it first and returns the
 same witness (a, b).  Over the 83 cached orders up to q = 317 this leaves
 3,443 starts of 11,252 elements.
 
-Every scan goes through one call, coset_path, with the content g of the
-normalized set and v.  When g > 1 an image lives inside a single coset of
-g*Z_v, and a pigeonhole count over the cosets of B can rule it out before
-any scan; with g = 1 the one coset is Z_v, which always has room, and no
-count runs.  The scan runs on the tables of the order (ScanTables), so a
-batch shares them with its other scans.  An exhaustive (a, b) scan is kept
-as the oracle the tests compare the pivot scan against; the check itself
-never calls it.  The kernel returns a verdict, its kind and the witness of
-an embedding, never a reason.  A witness maps the set the kernel was
-given: sorted((a*x + b) % v for x in s) is its image, a subset of B.  The
-scan embeds s - s[0], and fast_extends_at_q moves b back to s.
+Every scan goes through one call, coset_path, the pivot scan of the
+normalized set, whatever its content: a set whose images no coset of B
+has room for meets no candidate that passes every element, so the scan
+returns NO_IMAGE on its own.  The scan runs on the tables of the order
+(ScanTables), so a batch shares them with its other scans.  An exhaustive
+(a, b) scan is kept as the oracle the tests compare the pivot scan
+against; the check itself never calls it.  The kernel returns a verdict,
+its kind and the witness of an embedding, never a reason.  A witness maps
+the set the kernel was given: sorted((a*x + b) % v for x in s) is its
+image, a subset of B.  The scan embeds s - s[0], and fast_extends_at_q
+moves b back to s.
 
 fast_check_many checks many sets at once, q-major, and fast_check is the
 batch of one.  At each order q every undecided set with |S| <= q+1 is due
@@ -63,12 +63,12 @@ start b0 depends only on B, the pivot s_j, the filter x1 and b0, so the
 scan builds it once per order for every set with that pivot and filter.
 
 Verdicts, tiles and candidate lists are not kept across calls or orders.
-B's member set and scan starts are: _member_set and _scan_starts are lru
-caches of the 512 most recently used PDSs, so a later call or ScanTables
-against the same PDS reads them from there.  What a set keeps across the
-orders of one call is what does not depend on v: its content g, both
-candidate class keys, the translate to 0 and the translate divided by
-g, each least with its reflection, and its clash mask.  The key depends on
+B's member set and scan starts are: _pds_sets is an lru cache of the two
+for the 512 most recently used PDSs, so a later ScanTables against the
+same PDS reads them from there.  What a set keeps across the orders of
+one call is what does not depend on v: its content g, both candidate
+class keys, the translate to 0 and the translate divided by g, each least
+with its reflection, and its clash mask.  The key depends on
 v only through gcd(g, v): at v the batch takes the divided one iff
 gcd(g, v) = 1.  The clash mask decides the collision test; it is built
 from the positive differences that validating the set returned
@@ -88,7 +88,6 @@ call always runs the test, so a non-Sidon input still gets SKIP_COLLISION.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -166,22 +165,19 @@ class PdsSource:
 
 
 @lru_cache(maxsize=512)
-def _member_set(elems: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(elems)
+def _pds_sets(pds: Pds) -> tuple[frozenset[int], tuple[int, ...]]:
+    """(members, starts) of B: frozenset(B), and the scan starts.
 
-
-@lru_cache(maxsize=512)
-def _scan_starts(pds: Pds) -> tuple[int, ...]:
-    """The first element, in elems order, of each <p>-orbit of B when p*B == B; else elems.
-
-    p is the characteristic of q.  The multiplier is checked on pds itself,
-    never assumed, so a PDS that p does not fix keeps every start.
+    The starts are the first element, in elems order, of each <p>-orbit of
+    B when p*B == B, and elems otherwise.  p is the characteristic of q.
+    The multiplier is checked on pds itself, never assumed, so a PDS that p
+    does not fix keeps every start.
     """
     pp = is_prime_power(pds.q)
     v = pds.v
-    members = _member_set(pds.elems)
+    members = frozenset(pds.elems)
     if pp is None or any(pp.p * b % v not in members for b in pds.elems):
-        return pds.elems
+        return members, pds.elems
     seen: set[int] = set()
     starts = []
     for b in pds.elems:
@@ -191,7 +187,7 @@ def _scan_starts(pds: Pds) -> tuple[int, ...]:
             while x not in seen:
                 seen.add(x)
                 x = pp.p * x % v
-    return tuple(starts)
+    return members, tuple(starts)
 
 
 def _make_witness(pds: Pds, a, b, s, members) -> AffineWitness:
@@ -213,12 +209,12 @@ def fast_extends_at_q(
     decided: EXTENDS with its witness, NO_IMAGE, or SKIP_SIZE / SKIP_COLLISION
     when the order cannot host s.  The witness (a, b) maps s itself:
     sorted((a*x + b) % v for x in s) is its image.  Past the size and
-    collision tests every s of two or more elements goes to coset_path with
-    its content gcd(v, s - s[0]), and the witness of that scan, which maps
-    s - s[0], is moved back to s.  Two keywords are the batch's hand-off; a
-    lone call leaves both at their defaults.  tables is the ScanTables of
-    pds, which fast_check_many builds once per order and shares between the
-    sets it scans there; None builds a fresh one.
+    collision tests every s of two or more elements goes to coset_path as
+    s - s[0] mod v, and the witness of that scan, which maps s - s[0], is
+    moved back to s.  Two keywords are the batch's hand-off; a lone call
+    leaves both at their defaults.  tables is the ScanTables of pds, which
+    fast_check_many builds once per order and shares between the sets it
+    scans there; None builds a fresh one.
     distinct=True says the caller knows the differences of s are distinct
     and nonzero mod v, so the collision test is skipped.  fast_check_many
     passes it for every set it hands over: it has already settled each
@@ -242,7 +238,7 @@ def fast_extends_at_q(
     if n == 1:
         return CheckOutcome(EXTENDS, witness=_make_witness(pds, 1, pds.elems[0] - s0, s, tables.members))
     s_norm = tuple([(x - s0) % v for x in s])
-    outcome = coset_path(s_norm, pds, gcd(v, *s_norm), tables=tables)
+    outcome = coset_path(s_norm, pds, tables=tables)
     w = outcome.witness
     # the scan's b maps s_norm = s - s0 mod v, which is s itself when s0 = 0
     # mod v; otherwise a*x + (b - a*s0) maps x in s to the same image
@@ -254,7 +250,7 @@ def fast_extends_at_q(
 class ScanTables:
     """What the scans against one PDS share: the PDS, B's member set, the scan starts and the masks.
 
-    members is frozenset(B) and starts is _scan_starts(pds).  masks holds
+    members and starts are _pds_sets(pds), kept across calls.  masks holds
     what _pivot_scan builds: under (h, m, r, width) a tile of _tile, and
     under (s_j, x1) what one pivot and filter share, their tiles by residue
     and the candidate list of each start b0.
@@ -264,8 +260,7 @@ class ScanTables:
 
     def __init__(self, pds: Pds):
         self.pds = pds
-        self.members = _member_set(pds.elems)
-        self.starts = _scan_starts(pds)
+        self.members, self.starts = _pds_sets(pds)
         self.masks: dict = {}
 
 
@@ -299,7 +294,7 @@ def _pivot_scan(tables: ScanTables, s_norm, gs, j_pivot: int, starts) -> CheckOu
     unit candidates pay for the remaining elements.  tables is the
     ScanTables of B, and gs holds each element's gcd with v.
 
-    starts is _scan_starts(pds) on the check's path (one b0 per multiplier
+    starts is tables.starts on the check's path (one b0 per multiplier
     orbit, the same witness as the full scan) and pds.elems for the full
     scan; b0 runs over it in order.  Within one b0 the candidates are
     sorted by (b1, a), the order of a scan over b1 in elems and then over
@@ -380,21 +375,18 @@ def _tile(masks: dict, pds: Pds, h: int, m: int, r: int, width: int) -> int:
     return tile
 
 
-def coset_path(s_norm, pds: Pds, g: int, *, tables: ScanTables) -> CheckOutcome:
-    """The pivot scan of s_norm, residues mod v = pds.v with 0 first, whose content g is gcd(v, *s_norm).
+def coset_path(s_norm, pds: Pds, *, tables: ScanTables) -> CheckOutcome:
+    """The pivot scan of s_norm, residues mod v = pds.v with 0 first.
 
-    The one path of every scan.  When g > 1 any image a*S + b stays inside
-    the coset b + g*Z_v, so only a coset where the PDS has at least |S|
-    elements can host one; when no coset has room the answer is NO_IMAGE
-    and no scan runs.  With g = 1 the one coset is Z_v, which always has
-    room, so the count runs only when g > 1.  The scan takes the pivot with
-    the smallest gcd with v (_best_pivot) and starts from tables.starts.
-    tables is the ScanTables of pds that fast_extends_at_q was given or
-    built, so the scan shares its starts and masks.  The witness maps
-    s_norm.
+    The one path of every scan, whatever the content g = gcd(v, *s_norm):
+    any image a*S + b stays inside the coset b + g*Z_v, so when no coset
+    holds |S| elements of the PDS no candidate passes every element and the
+    scan itself returns NO_IMAGE.  The name is the one perfbench/tracing.py
+    wraps.  The scan takes the pivot with the smallest gcd with v
+    (_best_pivot) and starts from tables.starts.  tables is the ScanTables
+    of pds that fast_extends_at_q was given or built, so the scan shares
+    its starts and masks.  The witness maps s_norm.
     """
-    if g > 1 and max(Counter(b % g for b in pds.elems).values()) < len(s_norm):
-        return _NO_IMAGE
     # each element's gcd with v, read by the pivot and the filter
     gs = [gcd(x, pds.v) for x in s_norm]
     return _pivot_scan(tables, s_norm, gs, _best_pivot(gs), tables.starts)
@@ -412,7 +404,7 @@ def brute_force_at_q(s, pds: Pds) -> CheckOutcome:
     s_norm = tuple((x - s0) % v for x in s)
     if len(set(s_norm)) != len(s_norm):
         return _NO_IMAGE
-    members = _member_set(pds.elems)
+    members = frozenset(pds.elems)
     for a in range(1, v):
         if gcd(a, v) != 1:
             continue

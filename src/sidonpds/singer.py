@@ -187,10 +187,6 @@ def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ..
     pp = is_prime_power(q)
     if pp is None:
         raise ValueError(f"{q} is not a prime power")
-    if pp.m == 1:
-        add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
-        mul = tuple(tuple((i * j) % q for j in range(q)) for i in range(q))
-        return add, mul
     ctx = field_ctx(pp.p, pp.m)
     elems = [elem_from_int(ctx, n) for n in range(q)]
     p = pp.p

@@ -121,8 +121,8 @@ def test_criterion_06_superset_closure(target_size, range_max, expected_count, s
     # 335, 16 and 30 at (5,[0,30]), (6,[0,50]), (5,[0,33]) and (6,[0,30]).
     # The 16 and 30 pinned here before are the counts at the latter two
     # ranges, recorded against the wrong ones.
-    assert report.count == expected_count, (
-        f"superset count at (size {target_size}, range {range_max}) is {report.count}, "
+    assert len(report.supersets) == expected_count, (
+        f"superset count at (size {target_size}, range {range_max}) is {len(report.supersets)}, "
         f"expected {expected_count}"
     )
     _ok(

@@ -338,12 +338,6 @@ def test_size_follows_from_the_modulus(counting_clock):
                 find_pds_extension((0,), v)
 
 
-def test_timeout_is_reported_not_exhausted():
-    out = find_pds_extension(A, 133, DfsBudget(time_limit_s=0.005))
-    assert out.status == TIMEOUT
-    assert out.pds is None
-
-
 def test_deadline_stop_before_any_extension_is_a_timeout(counting_clock):
     # the exhaustive search of A at v = 133 takes 1,721 nodes; the deadline
     # stops it at its k-th check, node 256 k
@@ -449,8 +443,10 @@ def test_no_pair_seed_of_the_enumeration_is_its_own_mirror(q):
 
 
 def test_enumeration_rejects_a_malformed_modulus():
-    with pytest.raises(ValueError):
-        enumerate_all_pds(14)
+    # v <= 0 included: the error names the modulus, not a negative isqrt argument
+    for v in (14, 3, 0, -5):
+        with pytest.raises(ValueError, match=rf"^{v} is not of the form q\^2\+q\+1"):
+            enumerate_all_pds(v)
 
 
 def test_all_pds_lie_in_singer_orbit_small():
@@ -484,8 +480,9 @@ def test_independent_check_finds_small_extension():
     assert not rep.no_extension_proven
 
 
-def test_independent_check_timeouts_disqualify_proof():
-    rep = independent_check([A], 11, 11, DfsBudget(time_limit_s=0.004))[0]
+def test_independent_check_timeouts_disqualify_proof(counting_clock):
+    # the deadline stops the search of A at v = 133 at its first check
+    rep = independent_check([A], 11, 11, DfsBudget(time_limit_s=0.5))[0]
     assert rep.runs[0].status == TIMEOUT
     assert not rep.extends
     assert not rep.no_extension_proven

@@ -19,10 +19,9 @@ from sidonpds.orbit import (
     ScanTables,
     _best_pivot,
     _clash_mask,
-    _member_set,
     _multiples,
+    _pds_sets,
     _pivot_scan,
-    _scan_starts,
     _set_data,
     _tile,
     brute_force_at_q,
@@ -182,7 +181,8 @@ def _at_every_pivot(s, pds):
         s_norm = tuple((x - s[0]) % pds.v for x in s)
         gs = [gcd(x, pds.v) for x in s_norm]
         for j in range(1, len(s)):
-            other = _pivot_scan(ScanTables(pds), s_norm, gs, j, _scan_starts(pds))
+            tables = ScanTables(pds)
+            other = _pivot_scan(tables, s_norm, gs, j, tables.starts)
             assert other.kind == out.kind, (s, pds.q, j)
     return out
 
@@ -242,17 +242,17 @@ def test_coset_path_matches_brute_force(source):
 
 def test_coset_path_no_room_pigeonhole(source):
     # Singer set at q=4 splits mod 3 into cosets of sizes 3, 1, 1: no room
-    # for a 4-element image that must live inside one coset
+    # for a 4-element image that must live inside one coset, and the scan
+    # finds none.  The set collides mod 21, so fast_extends_at_q would stop
+    # at its collision test; the scan is called directly
     pds = source.get(4)
     sizes = {}
     for b in pds.elems:
         sizes[b % 3] = sizes.get(b % 3, 0) + 1
     assert max(sizes.values()) < 4
-    tables = ScanTables(pds)
-    out = coset_path((0, 3, 9, 12), pds, 3, tables=tables)
-    assert out.kind == NO_IMAGE
-    # the count answered: no scan ran, so no tile or candidate list was built
-    assert not tables.masks
+    s = (0, 3, 9, 12)
+    assert coset_path(s, pds, tables=ScanTables(pds)).kind == NO_IMAGE
+    assert brute_force_at_q(s, pds).kind == NO_IMAGE
 
 
 def _full_scan(s, pds):
@@ -284,7 +284,7 @@ def test_scan_starts_take_the_first_of_each_orbit_on_cached_singer_sets(source):
         if pp is None:
             continue
         pds = source.get(q)
-        starts = _scan_starts(pds)
+        starts = ScanTables(pds).starts
         assert len(starts) < len(pds.elems), q
         position = {b: i for i, b in enumerate(pds.elems)}
         covered = set()
@@ -315,14 +315,14 @@ def test_scan_starts_fall_back_to_every_b0_when_p_does_not_fix_b(source):
         unfixed += _enumerated_through_zero(q)
     assert len(unfixed) == 4 + 10 + 60
     for pds in unfixed:
-        assert _scan_starts(pds) == pds.elems, pds
+        assert ScanTables(pds).starts == pds.elems, pds
     # at v = 13 the multiplier 3 fixes 4 of the 16 sets through 0, and only
     # those lose starts
     enumerated13 = _enumerated_through_zero(3)
     fixed = [pds for pds in enumerated13 if {3 * b % 13 for b in pds.elems} == set(pds.elems)]
     assert len(enumerated13) == 16 and len(fixed) == 4
     for pds in enumerated13:
-        assert (len(_scan_starts(pds)) < len(pds.elems)) == (pds in fixed)
+        assert (len(ScanTables(pds).starts) < len(pds.elems)) == (pds in fixed)
     kinds = set()
     for pds in unfixed + enumerated13:
         for s in _random_quadruples():
@@ -697,10 +697,10 @@ def test_witnesses_leave_the_member_cache_to_the_pds_sets(source):
     sets = list(iter_sidon_sets(30, 4))
     for _ in fast_check_many(sets, 250, source):
         pass
-    misses = _member_set.cache_info().misses
+    misses = _pds_sets.cache_info().misses
     for _ in fast_check_many(sets, 250, source):
         pass
-    assert _member_set.cache_info().misses == misses
+    assert _pds_sets.cache_info().misses == misses
 
 
 def _comprehension_pivot_scan(pds, s_norm, j_pivot, starts):
@@ -798,7 +798,7 @@ def test_mask_scan_matches_the_comprehension_scan(source):
         for size in 2 * [*range(2, min(7, q + 1) + 1)]:
             s = _random_sidon_set(rng, size, 8 * q)
             if sidon_distinct_mod(s, v):
-                compare(s, pds, _scan_starts(pds), tables)
+                compare(s, pds, tables.starts, tables)
                 if q <= 64:
                     compare(s, pds, pds.elems, tables)
         # every pivot and filter gcd: elements built from the divisors of v
@@ -806,23 +806,24 @@ def test_mask_scan_matches_the_comprehension_scan(source):
         divisors += [v // d for d in divisors[1:]]
         for size in range(2, min(6, q) + 1) if len(divisors) > 1 else (2,):
             s = _divisor_built_set(rng, divisors, v, size)
-            compare(s, pds, _scan_starts(pds), tables)
+            compare(s, pds, tables.starts, tables)
             compare(s, pds, pds.elems, tables)
             # the coset path on the order's tables, shared as in a batch, and on fresh ones
             assert fast_extends_at_q(s, pds, tables=tables) == fast_extends_at_q(s, pds), (s, q)
             coset += gcd(*s, v) > 1
         if q in (16, 25, 37, 64):
             for _ in range(10):
-                compare(_unit_pivot_and_non_units(q, rng), pds, _scan_starts(pds), tables)
+                compare(_unit_pivot_and_non_units(q, rng), pds, tables.starts, tables)
     for q in (5, 13, 37):
         moved = _translate(source.get(q), 3)
-        assert _scan_starts(moved) == moved.elems
         tables = ScanTables(moved)
+        assert tables.starts == moved.elems
         for s in _random_quadruples()[:40]:
             if sidon_distinct_mod(s, moved.v):
                 compare(s, moved, moved.elems, tables)
     for s, q in NO_UNIT_PIVOT:
-        compare(s, source.get(q), _scan_starts(source.get(q)), ScanTables(source.get(q)))
+        tables = ScanTables(source.get(q))
+        compare(s, tables.pds, tables.starts, tables)
     assert kinds == {EXTENDS, NO_IMAGE}
     # every case the kernel unifies is met, each at least this often with this seed
     least = {"g = h = 1": 900, "g = 1 < h": 300, "g > 1": 250, "|S| = 2": 300}

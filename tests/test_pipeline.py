@@ -34,7 +34,7 @@ from sidonpds.pipeline import (
     superset_closure_check,
     triple_verify,
 )
-from sidonpds.sidon import Pds, dilate, normalize, reflect
+from sidonpds.sidon import Pds, dilate, is_sidon, normalize, reflect
 from sidonpds.singer import RecurrenceCoeffs
 
 A = (0, 1, 3, 11)
@@ -46,9 +46,9 @@ def test_base_candidates_are_the_two_patterns_and_reflections():
     assert elems == [A, B, (0, 8, 10, 11), (0, 7, 10, 11)]
 
 
-def test_candidate_validates_sidon():
-    with pytest.raises(ValueError):
-        Candidate((0, 1, 2, 4), "bad")
+def test_every_candidate_is_sidon():
+    for cand in BASE_CANDIDATES + CONTROL_CANDIDATES:
+        assert is_sidon(cand.elems), cand
 
 
 def test_iter_sidon_sets_order_and_shape():
@@ -174,8 +174,8 @@ def test_every_record_field_is_read_outside_its_class():
     # would pass on the reads of CheckReport.witness.  Nor does a read show
     # that anything sets the field: an option that only its own module reads
     # and only tests set passes too.  Records are the classes with a
-    # NamedTuple base; Candidate and DfsBudget validate in a subclass, so
-    # their fields sit in a private base
+    # NamedTuple base; DfsBudget validates in a subclass, so its fields sit
+    # in a private base
     files = sorted([*SRC.rglob("*.py"), *(SRC.parent / "perfbench").rglob("*.py")])
     loads = [(node.attr, path, node.lineno) for path in files for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
@@ -298,13 +298,13 @@ def test_superset_gate_on_extending_base(source):
     report = superset_closure_check((0, 1, 3, 9), 5, 20, 64, source=source)
     assert not report.precondition_ok  # the base embeds at q=3 already
     assert report.violations == ()
-    assert report.count > 0
+    assert len(report.supersets) > 0
 
 
 def test_superset_closure_small_range(source):
     report = superset_closure_check(A, 5, 15, 250, source=source)
     assert report.precondition_ok
-    assert report.count >= 1
+    assert len(report.supersets) >= 1
     assert report.all_non_extending
     assert report.violations == ()
 
@@ -314,13 +314,13 @@ def test_superset_counts_ground_truth(source):
     # a new element e > 11 works iff none of e, e-1, e-3, e-11 hits D(A),
     # ruling out e in {12,13,14,19,21,22}; no e < 12 works
     report = superset_closure_check(A, 5, 30, 250, source=source)
-    assert report.count == 13
+    assert len(report.supersets) == 13
     assert report.all_non_extending and report.violations == ()
     report = superset_closure_check(A, 5, 33, 250, source=source)
-    assert report.count == 16
+    assert len(report.supersets) == 16
     assert report.all_non_extending and report.violations == ()
     report = superset_closure_check(A, 6, 30, 250, source=source)
-    assert report.count == 30
+    assert len(report.supersets) == 30
     assert report.all_non_extending and report.violations == ()
 
     # a second count that shares no code with sidonpds: every choice of
@@ -418,7 +418,7 @@ def test_superset_closure_with_the_base_outside_the_range(source):
     # the base is still classified; no superset fits in [0, 10]
     report = superset_closure_check(A, 5, 10, 64, source=source)
     assert report.precondition_ok
-    assert report.count == 0 and report.violations == ()
+    assert len(report.supersets) == 0 and report.violations == ()
 
 
 def test_superset_closure_rejects_an_empty_base(source):

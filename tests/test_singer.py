@@ -240,6 +240,17 @@ def test_order_test_alone_agrees_with_root_scan_oracle():
                     assert _char_poly_is_primitive(q, a1, a2, a3) == _root_scan_is_primitive(q, a1, a2, a3)
 
 
+def test_gf_tables_are_the_integers_mod_a_prime():
+    # GF(p) through the general field context: its tables are those of Z_p
+    for q in range(2, 62):
+        pp = is_prime_power(q)
+        if pp is None or pp.m != 1:
+            continue
+        add = tuple(tuple((i + j) % q for j in range(q)) for i in range(q))
+        mul = tuple(tuple((i * j) % q for j in range(q)) for i in range(q))
+        assert _gf_tables(q) == (add, mul), q
+
+
 def test_find_primitive_coeffs_pinned_up_to_64():
     pinned = {
         2: (0, 1, 1), 3: (0, 1, 2), 4: (1, 1, 2), 5: (0, 1, 2), 7: (0, 1, 5), 8: (0, 1, 2),
